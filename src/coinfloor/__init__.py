@@ -37,6 +37,7 @@ from .floorsum import (
     FloorSumQuery,
     fast_floor_sum,
     fast_floor_sum_steps,
+    floor_sum_affine_steps,
     floor_sum_fast,
     floor_sum_naive,
     gauss_residual,

@@ -3,7 +3,9 @@
 Output is plain text by default; ``--format json`` emits a single object
 {"command", "inputs", "result"} per invocation and ``--format csv`` emits a
 header row plus data rows.  Exit codes: 0 success, 1 domain or usage error
-(diagnostics on stderr), 2 verification failure.
+(diagnostics on stderr), 2 verification failure.  A reader that closes
+the pipe before the output is written ends the command with exit 1 and no
+traceback.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import re
 import sys
 from fractions import Fraction
 
@@ -39,11 +43,22 @@ class _UsageError(Exception):
         self.message = message
 
 
+# No option starts with a digit, so "-1/2" or "-.5" is always a value.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad arguments; route everything through
     # _UsageError so main() can return 1 and keep 2 for verification failures.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(self, message)
+
+    # argparse takes only negative integers and decimals for values, so a
+    # negative weight such as --weighted -1/2 0 would be read as an option.
+    def _parse_optional(self, arg_string: str):  # type: ignore[override]
+        if _NEGATIVE_NUMBER.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict, result, columns: list[str] | None = None) -> None:
@@ -286,10 +301,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help exits through argparse
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # meet a closed pipe here rather than at exit
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again (the recipe in the stdlib's
+        # note on SIGPIPE), and report the unfinished output by exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,11 @@ weighted sums use rationals.
 The O(1) membership and count formulas all rest on the canonical solution:
 for gcd(a, b) = 1 the congruence a*x == n (mod b) has the unique solution
 x0 = n * a^(-1) mod b in [0, b), and n is representable iff a*x0 <= n.
+
+Threshold and lattice counts are floor sums: summing floor((t - a*x)/b) + 1
+over a range of x is the affine sum F(X+1, b, a, t - a*X) plus X + 1, which
+floorsum.floor_sum_affine_steps evaluates in O(log b) reciprocity rounds.
+Gap listing and the gap power sums still enumerate an O(ab)-bit mask.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CoprimePair
+from .floorsum import floor_sum_affine_steps
 
 __all__ = [
     "ExactRational",
@@ -143,32 +149,32 @@ def rep_count_shift_check(p: CoprimePair, n: int) -> bool:
 def count_representable_upto(p: CoprimePair, k: int) -> int:
     """N0(a, b; k): how many n in [0, k] are representable (0 counts; k < 0 gives 0).
 
-    Plain O(k) membership loop.  The closed-form family (best_family_point,
-    best2_count) and the lattice-count route (count_lattice_3var) are
-    validated against this loop rather than substituted for it.
+    O(log b) rounds, by floor sums.  Each representable n has exactly one
+    representation with 0 <= x < b (the canonical solution), so with
+    X = min(b - 1, floor(k/a))
+
+        N0 = sum_{x=0}^{X} (floor((k - a*x)/b) + 1) = X + 1 + F(X+1, b, a, k - a*X).
+
+    verify checks this against the gap listing and the literal membership loop.
     """
     if k < 0:
         return 0
     a, b = p.a, p.b
-    if a == 1 or b == 1:
-        return k + 1
-    inv = p.inv_a_mod_b
-    count = 0
-    for n in range(k + 1):
-        if a * (n % b * inv % b) <= n:
-            count += 1
-    return count
+    x_top = min(b - 1, k // a)
+    return x_top + 1 + floor_sum_affine_steps(x_top + 1, b, a, k - a * x_top)[0]
 
 
 def count_lattice_3var(p: CoprimePair, target: int) -> int:
     """Number of nonnegative solutions (x, y, z) of a*x + b*y + z = target.
 
-    O(target/a): for each x the slack z absorbs whatever y leaves behind,
-    giving floor((target - a*x)/b) + 1 choices.
+    O(log b) rounds, by floor sums: for each x <= X = floor(target/a) the
+    slack z absorbs whatever y leaves behind, giving floor((target - a*x)/b) + 1
+    choices, and those X + 1 terms sum to X + 1 + F(X+1, b, a, target - a*X).
     """
     _check_nat(target, "target")
     a, b = p.a, p.b
-    return sum((target - a * x) // b + 1 for x in range(target // a + 1))
+    x_top = target // a
+    return x_top + 1 + floor_sum_affine_steps(x_top + 1, b, a, target - a * x_top)[0]
 
 
 def best_family_point(p: CoprimePair, alpha: int) -> BestFamilyPoint:

@@ -10,6 +10,10 @@ normalizes the multiplier, strips whole periods of the index, then swaps
 numerator and denominator roles; each round shrinks the modulus like one
 Euclid division, so the number of rounds is logarithmic.
 
+The same sign-alternating reduction, applied to the affine sum
+F(n, m, a, c) = sum_{i=0}^{n-1} floor((a*i + c)/m), gives the lattice
+counts of the coin problem (see coinproblem.count_representable_upto).
+
 The identities themselves are exposed as residual functions returning a
 signed integer so that a violation reports its magnitude, not a bare bool.
 """
@@ -25,6 +29,7 @@ __all__ = [
     "naive_floor_sum",
     "fast_floor_sum",
     "fast_floor_sum_steps",
+    "floor_sum_affine_steps",
     "floor_sum_naive",
     "floor_sum_fast",
     "reciprocity_residual",
@@ -77,19 +82,22 @@ def naive_floor_sum(a: int, b: int, d: int) -> int:
 def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     """(S(a, b, d), rounds used), in O(log(a + b)) reduction rounds.
 
-    Each round applies, in order:
+    Before the first round, and only there:
 
-      R1  b >= a: write b = q*a + r and pull q*d(d+1)/2 out of the sum.
       R2  d >= a: strip whole index periods of length a.  One period
           contributes b + (a-1)(b-1)/2 since gcd(a, b) = 1 here; any common
           factor g was divided out up front (floor(i*b/a) is invariant
-          under it), and R1/R3 preserve coprimality.
+          under it).
+
+    After a swap the new index K is below the new modulus b, so R2 cannot
+    fire again.  Each round then applies, in order:
+
+      R1  b >= a: write b = q*a + r and pull q*d(d+1)/2 out of the sum.
       R3  swap roles: S(a, b, d) = d*K - S(b, a, K) with K = floor(b*d/a).
       R4  stop when b, d, or K reaches zero; every remaining term is zero.
 
-    After a swap the new index K is below the new modulus b, so R2 can only
-    fire on the first round; from then on the modulus follows the Euclid
-    remainder chain of (a, b), which bounds the round count.
+    The modulus follows the Euclid remainder chain of (a, b), which bounds
+    the round count.
     """
     _check_args(a, b, d)
     g = gcd(a, b)
@@ -97,6 +105,10 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
         a //= g
         b //= g
     total = 0
+    if d >= a:  # R2
+        t, d = divmod(d, a)
+        period = b + (a - 1) * (b - 1) // 2
+        total = t * period + a * b * (t * (t - 1) // 2) + t * b * d
     sign = 1
     steps = 0
     while b > 0 and d > 0:
@@ -106,13 +118,6 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
             total += sign * (q * (d * (d + 1) // 2))
             if b == 0:
                 break
-        if d >= a:  # R2
-            t, r = divmod(d, a)
-            period = b + (a - 1) * (b - 1) // 2
-            total += sign * (t * period + a * b * (t * (t - 1) // 2) + t * b * r)
-            d = r
-            if d == 0:
-                break
         K = b * d // a
         if K == 0:  # R4: b*d < a, so floor(i*b/a) = 0 for every i <= d
             break
@@ -120,6 +125,40 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
         sign = -sign
         a, b, d = b, a, K
     return total, steps
+
+
+def floor_sum_affine_steps(n: int, m: int, a: int, c: int) -> tuple[int, int]:
+    """(sum_{i=0}^{n-1} floor((a*i + c)/m), rounds used), for any integers
+    a and c, modulus m >= 1 and count n >= 0, in O(log m) rounds.
+
+    Each round normalizes a and c into [0, m), pulling their quotients out
+    of the sum, then counts the lattice points under the line from the
+    other axis.  With y = floor((a*(n-1) + c)/m) the top value,
+
+        F(n, m, a, c) = (n-1)*y - F(y, a, m, m - c - 1),
+
+    so the sign flips and (m, a) steps down the Euclid remainder chain.
+    The reduction stops when the top value y is zero.
+    """
+    if m < 1:
+        raise ValueError(f"modulus m must be >= 1, got {m}")
+    if n < 0:
+        raise ValueError(f"count n must be >= 0, got {n}")
+    total = 0
+    sign = 1
+    rounds = 0
+    while n > 0:
+        rounds += 1
+        qa, a = divmod(a, m)
+        qc, c = divmod(c, m)
+        total += sign * (qa * (n * (n - 1) // 2) + qc * n)
+        y = (a * (n - 1) + c) // m
+        if y == 0:  # every remaining term is zero
+            break
+        total += sign * (n - 1) * y
+        sign = -sign
+        n, m, a, c = y, a, m, m - c - 1
+    return total, rounds
 
 
 def fast_floor_sum(a: int, b: int, d: int) -> int:

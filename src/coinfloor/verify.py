@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .coinproblem import (
@@ -145,16 +146,39 @@ class CheckResult:
         }
 
 
-class _Recorder:
-    """Accumulates cases and mismatches for one named check."""
+class _Clock:
+    """Splits the wall time of one chain among the checks that share it.
 
-    def __init__(self, check_id: str) -> None:
+    Each lap is the time since the previous lap (or since the clock was
+    built), so laps are disjoint and add up to the chain's wall time.
+    """
+
+    def __init__(self) -> None:
+        self._last = time.perf_counter()
+
+    def lap(self) -> float:
+        now = time.perf_counter()
+        elapsed, self._last = now - self._last, now
+        return elapsed
+
+
+class _Recorder:
+    """Accumulates cases, mismatches, and time for one named check.
+
+    A case is charged the time since the previous case of any check on the
+    same clock, so work shared by several checks is charged once, to the
+    check whose case follows it.
+    """
+
+    def __init__(self, check_id: str, clock: _Clock | None = None) -> None:
         self.check_id = check_id
         self.cases = 0
         self.failures: list[Failure] = []
-        self._t0 = time.perf_counter()
+        self.elapsed = 0.0
+        self._clock = clock or _Clock()
 
     def case(self, inputs: dict[str, int], expected: object, actual: object) -> None:
+        self.elapsed += self._clock.lap()
         self.cases += 1
         if expected != actual:
             self.failures.append(Failure(tuple(sorted(inputs.items())), expected, actual))
@@ -164,8 +188,20 @@ class _Recorder:
             check_id=self.check_id,
             cases_run=self.cases,
             failures=sorted(self.failures, key=lambda f: f.inputs),
-            elapsed=time.perf_counter() - self._t0,
+            elapsed=self.elapsed,
         )
+
+
+def _count_by_membership(pair: CoprimePair, k: int) -> int:
+    """N0(a, b; k) by the literal O(k) membership loop, independent of the
+    floor-sum route of count_representable_upto."""
+    a, b, inv = pair.a, pair.b, pair.inv_a_mod_b
+    return sum(1 for n in range(k + 1) if a * (n % b * inv % b) <= n)
+
+
+def _count_by_gaps(gaps: tuple[int, ...], k: int) -> int:
+    """N0(a, b; k) from the sorted gap listing: every n in [0, k] but the gaps."""
+    return max(0, k + 1 - bisect_right(gaps, k))
 
 
 def _grid_pairs(g: GridSpec) -> list[tuple[int, int]]:
@@ -201,10 +237,11 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
     between the gap count and the two half-index floor sums, its pure
     parity reformulation, and the gap cardinality (a-1)(b-1)/2.
     """
+    clock = _Clock()
     pairs = _grid_pairs(g)
     rng = random.Random(g.seed)
 
-    rec_gauss = _Recorder("gauss_reciprocity_sum")
+    rec_gauss = _Recorder("gauss_reciprocity_sum", clock)
     for a, b in pairs:
         if a % 2 and b % 2 and a != b and gcd(a, b) == 1:
             rec_gauss.case({"a": a, "b": b}, 0, gauss_residual(a, b))
@@ -212,7 +249,7 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
         a, b = _sample_coprime(rng, odd=True)
         rec_gauss.case({"a": a, "b": b}, 0, gauss_residual(a, b))
 
-    rec_half = _Recorder("half_index_reciprocity")
+    rec_half = _Recorder("half_index_reciprocity", clock)
     for a, b in pairs:
         if gcd(a, b) == 1:
             rec_half.case({"a": a, "b": b}, 0, strong_residual(a, b))
@@ -220,7 +257,7 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
         a, b = _sample_coprime(rng)
         rec_half.case({"a": a, "b": b}, 0, strong_residual(a, b))
 
-    rec_swap = _Recorder("swap_identity_all_d")
+    rec_swap = _Recorder("swap_identity_all_d", clock)
     for a, b in pairs:
         if b < a and gcd(a, b) == 1:
             for d in range(1, a):
@@ -234,9 +271,9 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
         d = rng.randrange(1, a)
         rec_swap.case({"a": a, "b": b, "d": d}, 0, reciprocity_residual(a, b, d))
 
-    rec_bridge = _Recorder("gap_count_floor_sum_bridge")
-    rec_parity = _Recorder("half_product_parity_identity")
-    rec_card = _Recorder("gap_cardinality")
+    rec_bridge = _Recorder("gap_count_floor_sum_bridge", clock)
+    rec_parity = _Recorder("half_product_parity_identity", clock)
+    rec_card = _Recorder("gap_cardinality", clock)
     for a, b in pairs:
         if gcd(a, b) != 1:
             continue
@@ -261,13 +298,18 @@ def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
 
     Covers the half-line count b*floor(a/2), the reciprocity form at
     b*d + a*K, the same count through the gap deficit and the threshold
-    count, and the closed-form threshold family against the O(k) loop.
+    count, and the closed-form threshold family.  The lattice and threshold
+    counts under test take O(log b) floor-sum rounds each; the expected
+    threshold count N0(k) comes from the gap listing instead (k + 1 minus
+    the gaps up to k), a bit-mask enumeration built once per pair in
+    O(ab) bits, so neither side runs an O(k) loop.
     """
-    rec_halfline = _Recorder("lattice_halfline_count")
-    rec_rect = _Recorder("lattice_reciprocity_count")
-    rec_deficit = _Recorder("lattice_gap_deficit_count")
-    rec_swapform = _Recorder("threshold_swap_form")
-    rec_family = _Recorder("threshold_closed_form")
+    clock = _Clock()
+    rec_halfline = _Recorder("lattice_halfline_count", clock)
+    rec_rect = _Recorder("lattice_reciprocity_count", clock)
+    rec_deficit = _Recorder("lattice_gap_deficit_count", clock)
+    rec_swapform = _Recorder("threshold_swap_form", clock)
+    rec_family = _Recorder("threshold_closed_form", clock)
 
     for a, b in _grid_pairs(g):
         if gcd(a, b) != 1:
@@ -281,6 +323,7 @@ def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
         )
         if b >= a:
             continue
+        gaps = nonrepresentable_set(pair).gaps
         for d in range(1, a):
             K = b * d // a
             if K < 1:
@@ -294,7 +337,8 @@ def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
             )
             if 2 * d <= a:
                 continue
-            n0 = count_representable_upto(pair, target - a * b)
+            k = target - a * b
+            n0 = _count_by_gaps(gaps, k)
             rec_deficit.case(
                 {"a": a, "b": b, "d": d},
                 target + 1 - (a - 1) * (b - 1) // 2 + n0,
@@ -307,7 +351,9 @@ def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
                 2 * (s_ab + s_ba - d * K) + family,
             )
             rec_family.case(
-                {"a": a, "b": b, "d": d}, (target - a * b, n0), best2_count(pair, d)
+                {"a": a, "b": b, "d": d},
+                (k, n0, n0),
+                (*best2_count(pair, d), count_representable_upto(pair, k)),
             )
 
     return [
@@ -327,8 +373,9 @@ def check_jacobi_suite(g: GridSpec) -> list[CheckResult]:
     odd_a = range(1, g.a_max + 1, 2)
     odd_b = range(1, g.b_max + 1, 2)
 
-    rec_sym = _Recorder("eisenstein_vs_definition")
-    rec_recip = _Recorder("jacobi_reciprocity")
+    clock = _Clock()
+    rec_sym = _Recorder("eisenstein_vs_definition", clock)
+    rec_recip = _Recorder("jacobi_reciprocity", clock)
     for a in odd_a:
         for b in odd_b:
             if gcd(a, b) != 1:
@@ -340,8 +387,8 @@ def check_jacobi_suite(g: GridSpec) -> list[CheckResult]:
         rec_sym.case({"a": a, "b": b}, jacobi_by_definition(a, b), jacobi_eisenstein(a, b))
         rec_recip.case({"a": a, "b": b}, True, jacobi_reciprocity_check(a, b))
 
-    rec_ge1 = _Recorder("denominator_split_parity")
-    rec_ge2 = _Recorder("numerator_split_parity")
+    rec_ge1 = _Recorder("denominator_split_parity", clock)
+    rec_ge2 = _Recorder("numerator_split_parity", clock)
     for a in odd_a:
         for b in odd_b:
             if gcd(a, b) != 1:
@@ -352,7 +399,7 @@ def check_jacobi_suite(g: GridSpec) -> list[CheckResult]:
                 rec_ge1.case({"a": a, "b": b, "c": c}, 0, ge1_residual(a, b, c))
                 rec_ge2.case({"a": a, "b": b, "c": c}, 0, ge2_residual(a, b, c))
 
-    rec_gl = _Recorder("gauss_lemma_sign")
+    rec_gl = _Recorder("gauss_lemma_sign", clock)
     for p in range(3, max(g.a_max, g.b_max) + 1, 2):
         if not is_prime(p):
             continue
@@ -366,9 +413,10 @@ def check_jacobi_suite(g: GridSpec) -> list[CheckResult]:
 def reproduce_table1() -> CheckResult:
     """Replay the 14-row reference table for the pair (29, 23).
 
-    Each row is recomputed through both routes: the closed-form family
-    point and the O(k) membership count.  Negative thresholds carry no
-    countable range and are compared by sign (see TABLE1_ROWS).
+    Each row is recomputed through three routes: the closed-form family
+    point, the literal O(k) membership count, and the floor-sum count.
+    Negative thresholds carry no countable range and are compared by sign
+    (see TABLE1_ROWS).
     """
     rec = _Recorder("table1_reproduction")
     pair = CoprimePair(*TABLE1_PAIR)
@@ -378,25 +426,30 @@ def reproduce_table1() -> CheckResult:
 
     for alpha, k_ref, n0_ref in TABLE1_ROWS:
         point = best_family_point(pair, alpha)
-        counted = count_representable_upto(pair, point.k)
         rec.case(
             {"alpha": alpha},
-            (norm(k_ref), n0_ref, n0_ref),
-            (norm(point.k), point.n0, counted),
+            (norm(k_ref), n0_ref, n0_ref, n0_ref),
+            (
+                norm(point.k),
+                point.n0,
+                _count_by_membership(pair, point.k),
+                count_representable_upto(pair, point.k),
+            ),
         )
     return rec.result()
 
 
 def reproduce_section5_example() -> CheckResult:
     """The worked example at (29, 23): two floor sums evaluated both ways,
-    the threshold count at 257, and their composition 15 + 24 + 21 = 60."""
+    the threshold count at 257 by the literal membership loop, and the
+    floor-sum threshold count against the composition 15 + 24 + 21 = 60."""
     rec = _Recorder("worked_example_29_23")
     pair = CoprimePair(29, 23)
     rec.case({"a": 29, "b": 23, "d": 8}, 24, naive_floor_sum(29, 23, 8))
     rec.case({"a": 29, "b": 23, "d": 8}, 24, fast_floor_sum(29, 23, 8))
     rec.case({"a": 23, "b": 4, "d": 18}, 21, naive_floor_sum(23, 4, 18))
     rec.case({"a": 23, "b": 4, "d": 18}, 21, fast_floor_sum(23, 4, 18))
-    rec.case({"k": 257}, 60, count_representable_upto(pair, 257))
+    rec.case({"k": 257}, 60, _count_by_membership(pair, 257))
     rec.case(
         {"k": 257},
         count_representable_upto(pair, 257),

@@ -3,8 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
 
 from coinfloor import cli
+from coinfloor.coinproblem import weighted_sylvester_sum
+from coinfloor.core import CoprimePair
 from coinfloor.verify import CheckResult, Failure, TABLE1_ROWS
 
 
@@ -26,6 +34,13 @@ def test_upto_and_negative_k(capsys):
     assert code == 0 and out.strip() == "60"
     code, out, _ = run(capsys, "upto", "29", "23", "-5")
     assert code == 0 and out.strip() == "0"
+
+
+def test_upto_answers_huge_k_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "upto", "2", "3", "100000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and out.strip() == "100000000000"
 
 
 def test_frobenius_and_count(capsys):
@@ -81,6 +96,30 @@ def test_gaps_variants(capsys):
     code, out, _ = run(capsys, "gaps", "3", "5", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["gap"] and len(rows) == 5
+
+
+def test_gaps_negative_weight(capsys):
+    # argparse would read -1/2 as an option; gaps of (3, 5) are 1, 2, 4, 7
+    code, out, _ = run(capsys, "gaps", "3", "5", "--weighted", "-1/2", "0")
+    assert code == 0
+    assert out.strip() == str(weighted_sylvester_sum(CoprimePair(3, 5), Fraction(-1, 2), 0))
+    assert out.strip() == "25/64"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "coinfloor.cli", "gaps", "3", "5", "--weighted", "1/2", "0"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
 
 def test_jacobi_methods(capsys):

@@ -23,7 +23,7 @@ from coinfloor.coinproblem import (
     weighted_sylvester_sum,
 )
 from coinfloor.core import CoprimePair
-from oracle import brute_lattice3, brute_rep_count, brute_representables
+from oracle import brute_lattice3, brute_rep_count, brute_representables, floor_sum_iterative
 
 
 def test_frobenius_number_examples():
@@ -98,6 +98,31 @@ def test_count_representable_upto_vs_enumeration():
                 if k in reachable:
                     running += 1
                 assert count_representable_upto(p, k) == running
+
+
+def test_threshold_and_lattice_counts_vs_brute_force_below_25():
+    # every coprime pair below 25, pairs with a 1 included, and every k in
+    # [-2, ab + 50]: both floor-sum routes against double-loop enumeration
+    for a in range(1, 25):
+        for b in range(1, 25):
+            if gcd(a, b) != 1:
+                continue
+            p = CoprimePair(a, b)
+            top = a * b + 50
+            reachable = brute_representables(a, b, top)
+            assert count_representable_upto(p, -2) == count_representable_upto(p, -1) == 0
+            running = 0
+            for k in range(top + 1):
+                running += k in reachable
+                assert count_representable_upto(p, k) == running, (a, b, k)
+                assert count_lattice_3var(p, k) == brute_lattice3(a, b, k), (a, b, k)
+
+
+def test_count_representable_upto_300_digits_matches_oracle_floor_sum():
+    a, b, k = 10**150 + 1, 10**149 + 3, 10**299
+    x_top = min(b - 1, k // a)
+    expected = x_top + 1 + floor_sum_iterative(x_top + 1, b, a, k - a * x_top)
+    assert count_representable_upto(CoprimePair(a, b), k) == expected
 
 
 def test_count_lattice_3var_examples():

@@ -1,5 +1,7 @@
 """Tests for the identity suite: grid handling, determinism, and reporting."""
 
+import time
+
 import pytest
 
 from coinfloor.verify import (
@@ -65,6 +67,18 @@ def test_lemma_chain_passes():
     for r in results:
         assert r.passed, r.check_id
         assert r.cases_run > 0
+
+
+def test_chain_elapsed_values_are_disjoint():
+    # checks sharing one loop split its time, so their reports add up to
+    # the chain's wall time instead of each repeating it
+    grid = GridSpec(a_max=25, b_max=25, sample_count=20)
+    for chain in (check_equivalence_chain, check_lemma_chain, check_jacobi_suite):
+        t0 = time.perf_counter()
+        results = chain(grid)
+        wall = time.perf_counter() - t0
+        reported = sum(r.elapsed for r in results)
+        assert 0.5 * wall <= reported <= wall, (chain.__name__, reported, wall)
 
 
 def test_jacobi_suite_passes():
