@@ -29,7 +29,7 @@ from .coinproblem import (
     weighted_sylvester_sum,
 )
 from .core import CoprimePair
-from .floorsum import FloorSumQuery, floor_sum_fast, floor_sum_naive
+from .floorsum import fast_floor_sum, naive_floor_sum
 from .jacobi import jacobi_by_definition, jacobi_eisenstein
 from .verify import TABLE1_PAIR, TABLE1_ROWS, GridSpec, reproduce_table1, run_suites
 
@@ -88,10 +88,10 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict, result, columns:
 
 
 def _cmd_floorsum(args: argparse.Namespace) -> int:
-    query = FloorSumQuery(a=args.a, b=args.b, d=args.d)
-    fs = floor_sum_naive(query) if args.naive else floor_sum_fast(query)
+    evaluate = naive_floor_sum if args.naive else fast_floor_sum
+    value = evaluate(args.a, args.b, args.d)
     inputs = {"a": args.a, "b": args.b, "d": args.d, "naive": bool(args.naive)}
-    _emit(args, "floorsum", inputs, fs.value)
+    _emit(args, "floorsum", inputs, value)
     return 0
 
 
@@ -123,6 +123,9 @@ def _cmd_best(args: argparse.Namespace) -> int:
     columns = ["alpha", "beta", "k", "n0"]
     inputs = {"a": args.a, "b": args.b}
     if args.all:
+        # the range below is empty when b >= a, so check what --alpha would
+        if args.b >= args.a:
+            raise ValueError(f"need b < a, got ({args.a}, {args.b})")
         start = 2 - args.a % 2  # smallest alpha > 0 with the parity of a
         rows = [_family_row(pair, alpha) for alpha in range(start, args.a, 2)]
         _emit(args, "best", dict(inputs, all=True), rows, columns)

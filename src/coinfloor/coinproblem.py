@@ -25,7 +25,6 @@ from .core import CoprimePair
 from .floorsum import floor_sum_affine_steps
 
 __all__ = [
-    "ExactRational",
     "RepCount",
     "BestFamilyPoint",
     "NonRepSet",
@@ -42,10 +41,6 @@ __all__ = [
     "sylvester_sum_power",
     "weighted_sylvester_sum",
 ]
-
-# Reduced numerator/denominator invariants come with the stdlib type.
-ExactRational = Fraction
-
 
 @dataclass(frozen=True)
 class RepCount:

@@ -1,8 +1,8 @@
 """Exact integer primitives shared by the rest of the package.
 
-Euclid's algorithm and its extended certificate, modular inverses and
-powers, deterministic primality, trial-division factorization, and the
-validated coprime-pair value objects used as parameters everywhere.
+Deterministic primality, trial-division factorization, and the validated
+coprime-pair value object used as a parameter everywhere.  gcd, modular
+inverses and modular powers come from the stdlib (math.gcd and pow).
 All functions are pure; all values are immutable after construction.
 """
 
@@ -12,69 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 __all__ = [
-    "gcd",
-    "extended_gcd",
-    "mod_inverse",
-    "pow_mod",
     "is_prime",
     "factorize",
     "CoprimePair",
-    "OddCoprimePair",
 ]
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, with gcd(0, 0) = 0."""
-    return math.gcd(a, b)
-
-
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b).
-
-    Rejects a = b = 0, where no certificate exists.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("extended_gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """The x in [0, m) with a*x == 1 (mod m); mod_inverse(a, 1) = 0.
-
-    Requires m >= 1 and gcd(a, m) = 1.
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return 0
-    g, x, _ = extended_gcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}: gcd = {g}")
-    return x % m
-
-
-def pow_mod(base: int, exp: int, m: int) -> int:
-    """base**exp mod m by square-and-multiply, O(log exp) multiplications."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if exp < 0:
-        raise ValueError(f"exponent must be >= 0, got {exp}")
-    result = 1 % m
-    base %= m
-    while exp:
-        if exp & 1:
-            result = result * base % m
-        base = base * base % m
-        exp >>= 1
-    return result
 
 
 # Strong-pseudoprime witnesses making the test deterministic for n < 3.3e24,
@@ -147,13 +88,5 @@ class CoprimePair:
             raise ValueError(f"pair members must be positive, got ({self.a}, {self.b})")
         if math.gcd(self.a, self.b) != 1:
             raise ValueError(f"({self.a}, {self.b}) are not coprime")
-        object.__setattr__(self, "inv_a_mod_b", mod_inverse(self.a, self.b))
+        object.__setattr__(self, "inv_a_mod_b", pow(self.a, -1, self.b))
 
-
-class OddCoprimePair(CoprimePair):
-    """A CoprimePair whose members are both odd."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.a % 2 == 0 or self.b % 2 == 0:
-            raise ValueError(f"({self.a}, {self.b}) must both be odd")

@@ -20,48 +20,17 @@ signed integer so that a violation reports its magnitude, not a bare bool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 __all__ = [
-    "FloorSumQuery",
-    "FloorSum",
     "naive_floor_sum",
     "fast_floor_sum",
     "fast_floor_sum_steps",
     "floor_sum_affine_steps",
-    "floor_sum_naive",
-    "floor_sum_fast",
     "reciprocity_residual",
     "strong_residual",
     "gauss_residual",
 ]
-
-
-@dataclass(frozen=True)
-class FloorSumQuery:
-    """Parameters of S(a, b, d): modulus a >= 1, multiplier b >= 0, upper index d >= 0."""
-
-    a: int
-    b: int
-    d: int
-
-    def __post_init__(self) -> None:
-        _check_args(self.a, self.b, self.d)
-
-
-@dataclass(frozen=True)
-class FloorSum:
-    """An exact floor-sum value paired with the query it answers.
-
-    ``steps`` is the number of reduction rounds the fast evaluator used
-    (0 when produced by the naive evaluator); tests bound it by
-    3*(floor(log2(max(a, b))) + 1).
-    """
-
-    query: FloorSumQuery
-    value: int
-    steps: int = 0
 
 
 def _check_args(a: int, b: int, d: int) -> None:
@@ -164,17 +133,6 @@ def floor_sum_affine_steps(n: int, m: int, a: int, c: int) -> tuple[int, int]:
 def fast_floor_sum(a: int, b: int, d: int) -> int:
     """S(a, b, d) by the logarithmic reducer."""
     return fast_floor_sum_steps(a, b, d)[0]
-
-
-def floor_sum_naive(q: FloorSumQuery) -> FloorSum:
-    """Evaluate a query term by term."""
-    return FloorSum(query=q, value=naive_floor_sum(q.a, q.b, q.d))
-
-
-def floor_sum_fast(q: FloorSumQuery) -> FloorSum:
-    """Evaluate a query by the logarithmic reducer, recording its round count."""
-    value, steps = fast_floor_sum_steps(q.a, q.b, q.d)
-    return FloorSum(query=q, value=value, steps=steps)
 
 
 def reciprocity_residual(a: int, b: int, d: int) -> int:

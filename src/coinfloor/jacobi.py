@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .core import factorize, is_prime, pow_mod
+from .core import factorize, is_prime
 from .floorsum import fast_floor_sum
 
 __all__ = [
@@ -47,7 +47,7 @@ def legendre_euler(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    return 1 if pow_mod(a, (p - 1) // 2, p) == 1 else -1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def legendre_by_search(a: int, p: int) -> int:

@@ -19,6 +19,7 @@ import random
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import gcd
 
 from .coinproblem import (
     best2_count,
@@ -27,7 +28,7 @@ from .coinproblem import (
     count_representable_upto,
     nonrepresentable_set,
 )
-from .core import CoprimePair, gcd, is_prime
+from .core import CoprimePair, is_prime
 from .floorsum import (
     fast_floor_sum,
     gauss_residual,
@@ -91,15 +92,14 @@ TABLE1_ROWS: tuple[tuple[int, int, int], ...] = (
 class GridSpec:
     """Parameter grid for the identity checks.
 
-    Exhaustive pairs run over 1..a_max x 1..b_max, filtered by odd_only and
-    coprime_only; sample_count seeded random large cases are added to the
-    checks that can afford them.
+    Exhaustive pairs run over the coprime pairs in 1..a_max x 1..b_max,
+    odd pairs only when odd_only is set; sample_count seeded random large
+    cases are added to the checks that can afford them.
     """
 
     a_max: int = 60
     b_max: int = 60
     odd_only: bool = False
-    coprime_only: bool = True
     seed: int = 0
     sample_count: int = 200
 
@@ -212,16 +212,16 @@ def _grid_pairs(g: GridSpec) -> list[tuple[int, int]]:
         for b in range(1, g.b_max + 1):
             if g.odd_only and b % 2 == 0:
                 continue
-            if g.coprime_only and gcd(a, b) != 1:
+            if gcd(a, b) != 1:
                 continue
             pairs.append((a, b))
     return pairs
 
 
-def _sample_coprime(rng: random.Random, lo: int = 1, odd: bool = False) -> tuple[int, int]:
+def _sample_coprime(rng: random.Random, odd: bool = False) -> tuple[int, int]:
     while True:
-        a = rng.randrange(lo, _SAMPLE_MAX)
-        b = rng.randrange(lo, _SAMPLE_MAX)
+        a = rng.randrange(1, _SAMPLE_MAX)
+        b = rng.randrange(1, _SAMPLE_MAX)
         if odd:
             a |= 1
             b |= 1
@@ -243,7 +243,7 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
 
     rec_gauss = _Recorder("gauss_reciprocity_sum", clock)
     for a, b in pairs:
-        if a % 2 and b % 2 and a != b and gcd(a, b) == 1:
+        if a % 2 and b % 2 and a != b:
             rec_gauss.case({"a": a, "b": b}, 0, gauss_residual(a, b))
     for _ in range(g.sample_count):
         a, b = _sample_coprime(rng, odd=True)
@@ -251,15 +251,14 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
 
     rec_half = _Recorder("half_index_reciprocity", clock)
     for a, b in pairs:
-        if gcd(a, b) == 1:
-            rec_half.case({"a": a, "b": b}, 0, strong_residual(a, b))
+        rec_half.case({"a": a, "b": b}, 0, strong_residual(a, b))
     for _ in range(g.sample_count):
         a, b = _sample_coprime(rng)
         rec_half.case({"a": a, "b": b}, 0, strong_residual(a, b))
 
     rec_swap = _Recorder("swap_identity_all_d", clock)
     for a, b in pairs:
-        if b < a and gcd(a, b) == 1:
+        if b < a:
             for d in range(1, a):
                 rec_swap.case({"a": a, "b": b, "d": d}, 0, reciprocity_residual(a, b, d))
     for _ in range(g.sample_count):
@@ -275,8 +274,6 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
     rec_parity = _Recorder("half_product_parity_identity", clock)
     rec_card = _Recorder("gap_cardinality", clock)
     for a, b in pairs:
-        if gcd(a, b) != 1:
-            continue
         n_gaps = nonrepresentable_set(CoprimePair(a, b)).count
         lhs = n_gaps + 2 * (fast_floor_sum(a, b, a // 2) + fast_floor_sum(b, a, b // 2))
         rhs = (a - 1) * (b // 2) + (b - 1) * (a // 2)
@@ -312,8 +309,6 @@ def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
     rec_family = _Recorder("threshold_closed_form", clock)
 
     for a, b in _grid_pairs(g):
-        if gcd(a, b) != 1:
-            continue
         pair = CoprimePair(a, b)
         half = a // 2
         rec_halfline.case(

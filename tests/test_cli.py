@@ -84,6 +84,17 @@ def test_best_single_and_all(capsys):
     assert doc["result"][0] == {"alpha": 1, "beta": -1, "k": -3, "n0": 0}
 
 
+def test_best_all_rejects_b_not_below_a(capsys):
+    for a, b in (("1", "2"), ("1", "1"), ("3", "5")):
+        code, out, err = run(capsys, "best", a, b, "--all")
+        assert code == 1 and out == "" and "need b < a" in err
+    code, out, err = run(capsys, "best", "1", "2", "--alpha", "1")
+    assert code == 1 and "need b < a" in err
+    # a valid pair with no alpha of the parity of a: an empty listing
+    code, out, err = run(capsys, "best", "2", "1", "--all")
+    assert code == 0 and out == "" and err == ""
+
+
 def test_gaps_variants(capsys):
     code, out, _ = run(capsys, "gaps", "3", "5")
     assert code == 0 and out.split() == ["1", "2", "4", "7"]

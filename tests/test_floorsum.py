@@ -8,13 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinfloor.floorsum import (
-    FloorSum,
-    FloorSumQuery,
     fast_floor_sum,
     fast_floor_sum_steps,
     floor_sum_affine_steps,
-    floor_sum_fast,
-    floor_sum_naive,
     gauss_residual,
     naive_floor_sum,
     reciprocity_residual,
@@ -40,10 +36,11 @@ def test_query_validation():
         naive_floor_sum(0, 3, 5)
     with pytest.raises(ValueError):
         fast_floor_sum(0, 3, 5)
-    with pytest.raises(ValueError):
-        FloorSumQuery(a=3, b=-1, d=5)
-    with pytest.raises(ValueError):
-        FloorSumQuery(a=3, b=1, d=-5)
+    for bad in ((3, -1, 5), (3, 1, -5)):
+        with pytest.raises(ValueError):
+            naive_floor_sum(*bad)
+        with pytest.raises(ValueError):
+            fast_floor_sum_steps(*bad)
 
 
 def test_fast_examples():
@@ -103,14 +100,9 @@ def test_fast_handles_common_factors():
 
 
 def test_wrapper_objects():
-    q = FloorSumQuery(a=29, b=23, d=8)
-    naive = floor_sum_naive(q)
-    fast = floor_sum_fast(q)
-    assert isinstance(naive, FloorSum) and isinstance(fast, FloorSum)
-    assert naive.value == fast.value == 24
-    assert naive.query == fast.query == q
-    assert naive.steps == 0
-    assert 1 <= fast.steps <= _steps_bound(29, 23)
+    value, steps = fast_floor_sum_steps(29, 23, 8)
+    assert naive_floor_sum(29, 23, 8) == value == 24
+    assert 1 <= steps <= _steps_bound(29, 23)
 
 
 def test_reciprocity_residual_examples():
