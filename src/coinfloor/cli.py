@@ -294,6 +294,20 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Results are exact, so a gap power sum can have more digits than
+    # CPython's int/str conversion limit (4300 by default, 3.11+); lift it
+    # while the command runs and restore it for an in-process caller.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

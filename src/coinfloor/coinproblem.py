@@ -13,13 +13,22 @@ x0 = n * a^(-1) mod b in [0, b), and n is representable iff a*x0 <= n.
 Threshold and lattice counts are floor sums: summing floor((t - a*x)/b) + 1
 over a range of x is the affine sum F(X+1, b, a, t - a*X) plus X + 1, which
 floorsum.floor_sum_affine_steps evaluates in O(log b) reciprocity rounds.
-Gap listing and the gap power sums still enumerate an O(ab)-bit mask.
+
+Gap sums come from the Hilbert series of the semigroup <a, b>: the gaps
+have the generating function G(x) = 1/(1-x) - (1-x^ab)/((1-x^a)(1-x^b)),
+so sum lam**(n-1) * n**m over the gaps is (m!/lam) [t^m] G(lam e^t), one
+power-series coefficient in O(m^2) integer products whatever the size of
+a and b.  Listing the gaps scans an O(ab)-bit mask, and summing over the
+listing costs O(ab) terms; the sums take that route only when the gap
+count is small against m^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import comb, factorial, lcm
 
 from .core import CoprimePair
 from .floorsum import floor_sum_affine_steps
@@ -84,21 +93,6 @@ class NonRepSet:
     def largest(self) -> int | None:
         """The Frobenius number a*b - a - b, or None when nothing is missing."""
         return self.gaps[-1] if self.gaps else None
-
-    def power_sum(self, m: int) -> int:
-        """Sum of n**m over the gaps."""
-        if m < 0:
-            raise ValueError(f"power must be >= 0, got {m}")
-        return sum(n**m for n in self.gaps)
-
-    def weighted_power_sum(self, lam: Fraction | int, m: int) -> Fraction:
-        """Sum of lam**(n-1) * n**m over the gaps, exactly."""
-        lam = Fraction(lam)
-        if lam == 0:
-            raise ValueError("weight base must be nonzero")
-        if m < 0:
-            raise ValueError(f"power must be >= 0, got {m}")
-        return sum((lam ** (n - 1) * n**m for n in self.gaps), Fraction(0))
 
 
 def _check_nat(n: int, name: str) -> None:
@@ -221,6 +215,29 @@ def _representable_mask(a: int, b: int, limit: int) -> int:
     return bits
 
 
+def _gap_bits(a: int, b: int) -> int:
+    """Bit n is set iff n is a gap of (a, b); 0 when a coin is 1."""
+    top = a * b - a - b
+    return ((1 << (top + 1)) - 1) ^ _representable_mask(a, b, top)
+
+
+# maps the digits of bin() to the bytes 0 and 1, which compress() reads as flags
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _Sized:
+    # tuple() sizes its result from __length_hint__ and so allocates once;
+    # the items still come from the iterator alone
+    def __init__(self, items, hint: int) -> None:
+        self._items, self._hint = items, hint
+
+    def __iter__(self):
+        return self._items
+
+    def __length_hint__(self) -> int:
+        return self._hint
+
+
 def nonrepresentable_set(p: CoprimePair) -> NonRepSet:
     """Enumerate every gap of (a, b).
 
@@ -231,9 +248,73 @@ def nonrepresentable_set(p: CoprimePair) -> NonRepSet:
     if a == 1 or b == 1:
         return NonRepSet(pair=p, gaps=())
     top = a * b - a - b
-    rev = bin(_representable_mask(a, b, top))[2:][::-1].ljust(top + 1, "0")
-    gaps = tuple(n for n in range(top + 1) if rev[n] == "0")
+    flags = bin(_gap_bits(a, b))[:1:-1].encode().translate(_BIT_FLAGS)
+    gaps = tuple(_Sized(compress(range(top + 1), flags), (a - 1) * (b - 1) // 2))
     return NonRepSet(pair=p, gaps=gaps)
+
+
+def _reciprocal(P: int, Q: int, n: int) -> tuple[list[int], int]:
+    """EGF coefficients x_0..x_n of u**v / (Q - P e^u), as (numerators, one
+    common denominator); v = 1 when P = Q, else 0.
+
+    Power-series division in exponential form, sum_k C(j, k) h_k x_{j-k}
+    = [j == 0] with h = (Q - P e^u) / u**v.  When P != Q, h has EGF
+    coefficients Q - P, -P, -P, ... and x_j = rho_j / (Q - P)**(j+1) with
+    integer rho_j.  When P = Q (= 1: lam**s = 1), the zero at u = 0 is
+    divided out and x_j = -B_j, the Bernoulli numbers, whose denominators
+    all divide lcm(1..n+1).
+    """
+    if P != Q:
+        c = Q - P
+        powers = [1]
+        for _ in range(n):
+            powers.append(powers[-1] * c)
+        rho = [1]
+        for j in range(1, n + 1):
+            rho.append(P * sum(comb(j, k) * powers[k - 1] * rho[j - k] for k in range(1, j + 1)))
+        return [r * powers[n - j] for j, r in enumerate(rho)], powers[n] * c
+    d = lcm(*range(1, n + 2))
+    beta = [d]  # d * B_j: sum_{k<=j} C(j+1, k) B_k = [j == 0]
+    for j in range(1, n + 1):
+        beta.append(-sum(comb(j + 1, k) * beta[k] for k in range(j)) // (j + 1))
+    return [-x for x in beta], d
+
+
+def _egf_product(x: list[int], y: list[int], n: int) -> int:
+    # n! [t^n] of the product of the EGFs with coefficients x and y
+    return sum(comb(n, i) * x[i] * y[n - i] for i in range(n + 1))
+
+
+def _series_moment(a: int, b: int, p: int, q: int, m: int) -> Fraction:
+    """(m!/lam) [t^m] G(lam e^t) for lam = p/q, with a, b >= 2 coprime.
+
+    G(lam e^t) = R_1(t) - (1 - lam**ab e^(abt)) R_a(at) R_b(bt), where
+    R_s(u) = 1/(1 - lam**s e^u) = q**s u**-v [u**v / (q**s - p**s e^u)] is
+    expanded in u = st, so that s enters only as s**k; expanding in t over
+    a common k! denominator would grow every coefficient by about
+    log(k! ab) bits that cancel only at the end.  A factor vanishes at t = 0 only when lam**s = 1 (lam = 1, or lam = -1
+    and s even), and then to first order; _reciprocal divides that zero out.
+    """
+    pa, qa, pb, qb = p**a, q**a, p**b, q**b
+    v1, va, vb = int(p == q), int(pa == qa), int(pb == qb)
+    n1, n = m + v1, m + va + vb
+    x1, d1 = _reciprocal(p, q, n1)
+    xa, da = _reciprocal(pa, qa, n)
+    xb, db = _reciprocal(pb, qb, n)
+    ab = a * b
+    ya = [x * a**i for i, x in enumerate(xa)]
+    yb = [x * b**j for j, x in enumerate(xb)]
+    # EGF products at t^n: w1 of R_a(at) R_b(bt), w2 of R_a(at) R_b(bt) e^(abt)
+    e_ab = [ab**k for k in range(n + 1)]
+    zb = [_egf_product(yb, e_ab, r) for r in range(n + 1)]
+    w1, w2 = _egf_product(ya, yb, n), _egf_product(ya, zb, n)
+    # [t^m] R = q x1[n1] / k1 and [t^m] of the second term
+    # = (q**ab w1 - p**ab w2) / (q**top k2)
+    k1 = d1 * factorial(n1)
+    k2 = a**va * b**vb * factorial(n) * da * db
+    top = ab - a - b
+    return Fraction(factorial(m) * (q ** (top + 1) * x1[n1] * k2 - (q**ab * w1 - p**ab * w2) * k1),
+                    p * q ** (top - 1) * k1 * k2)
 
 
 def sylvester_sum(p: CoprimePair) -> int:
@@ -243,18 +324,34 @@ def sylvester_sum(p: CoprimePair) -> int:
 
 
 def sylvester_sum_power(p: CoprimePair, m: int) -> int:
-    """Sum of n**m over the gaps, by exact enumeration.
+    """Sum of n**m over the gaps: weighted_sylvester_sum at lam = 1.
 
     m = 0 recovers the gap count (a-1)(b-1)/2, m = 1 the gap sum, and m = 2
     matches the closed form (a-1)(b-1)*a*b*(ab - a - b) / 12.
     """
-    return nonrepresentable_set(p).power_sum(m)
+    return int(weighted_sylvester_sum(p, 1, m))
 
 
 def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fraction:
     """Sum of lam**(n-1) * n**m over the gaps, as an exact rational.
 
     lam = 1 reduces to sylvester_sum_power.  lam must be nonzero; since 0
-    is always representable, no gap raises lam to a negative power.
+    is always representable, no gap raises lam to a negative power.  The
+    series takes O(m^2) products and the listing O(ab) terms; the listing
+    runs only when the (a-1)(b-1)/2 gaps are no more than m^2.  For
+    lam != +-1 the result itself has about ab*log|lam| bits.
     """
-    return nonrepresentable_set(p).weighted_power_sum(lam, m)
+    lam = Fraction(lam)
+    if lam == 0:
+        raise ValueError("weight base must be nonzero")
+    if m < 0:
+        raise ValueError(f"power must be >= 0, got {m}")
+    a, b = p.a, p.b
+    if a == 1 or b == 1:
+        return Fraction(0)
+    num, den = lam.numerator, lam.denominator
+    if (a - 1) * (b - 1) // 2 > m * m:
+        return _series_moment(a, b, num, den, m)
+    top = a * b - a - b
+    gaps = nonrepresentable_set(p).gaps
+    return Fraction(sum(num ** (n - 1) * den ** (top - n) * n**m for n in gaps), den ** (top - 1))

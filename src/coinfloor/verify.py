@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .coinproblem import (
+    _gap_bits,
     best2_count,
     best_family_point,
     count_lattice_3var,
@@ -274,7 +275,8 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
     rec_parity = _Recorder("half_product_parity_identity", clock)
     rec_card = _Recorder("gap_cardinality", clock)
     for a, b in pairs:
-        n_gaps = nonrepresentable_set(CoprimePair(a, b)).count
+        # the gaps counted off the bit mask, independently of the closed form
+        n_gaps = _gap_bits(a, b).bit_count()
         lhs = n_gaps + 2 * (fast_floor_sum(a, b, a // 2) + fast_floor_sum(b, a, b // 2))
         rhs = (a - 1) * (b // 2) + (b - 1) * (a // 2)
         rec_bridge.case({"a": a, "b": b}, rhs, lhs)

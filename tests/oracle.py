@@ -7,6 +7,9 @@ double-loop searches.  Nothing imports from the package under test.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 
 
@@ -86,3 +89,34 @@ def brute_lattice3(a: int, b: int, target: int) -> int:
     )
     assert count == check
     return count
+
+
+def bernoulli(n: int) -> list[Fraction]:
+    """B_0..B_n with B_1 = -1/2, from sum_{k<=j} C(j+1, k) B_k = 0 (j >= 1)."""
+    out = [Fraction(1)]
+    for j in range(1, n + 1):
+        out.append(-sum(comb(j + 1, k) * out[k] for k in range(j)) / (j + 1))
+    return out
+
+
+def gap_power_sum_bernoulli(a: int, b: int, m: int) -> int:
+    """Sum of n**m over the gaps of coprime a, b >= 2, in the Bernoulli form
+    of the power sums (Tuenter, J. Number Theory 117, 2006):
+
+        m! * ( -B_{m+1}/(m+1)! + sum_{i+j+l = m+2, l >= 1}
+               (ab)**(l-1) a**i b**j B_i B_j / (i! j! l!) ),
+
+    read off G(e^t) with 1/(1 - e^(st)) = -(1/(st)) sum_k B_k (st)**k / k!.
+    An explicit double sum over Bernoulli numbers: no series division and
+    no gap listing.
+    """
+    B = bernoulli(m + 2)
+    ab = a * b
+    total = -B[m + 1] / factorial(m + 1)
+    for i in range(m + 2):
+        for j in range(m + 2 - i):
+            l = m + 2 - i - j
+            total += Fraction(ab ** (l - 1) * a**i * b**j, factorial(i) * factorial(j) * factorial(l)) * B[i] * B[j]
+    value = total * factorial(m)
+    assert value.denominator == 1
+    return value.numerator

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: outputs, formats, and exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -14,6 +15,7 @@ from coinfloor import cli
 from coinfloor.coinproblem import weighted_sylvester_sum
 from coinfloor.core import CoprimePair
 from coinfloor.verify import CheckResult, Failure, TABLE1_ROWS
+from oracle import gap_power_sum_bernoulli
 
 
 def run(capsys, *argv):
@@ -207,3 +209,60 @@ def test_unknown_command_exit_1_with_usage(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "gaps", "--help")[0] == 0
+
+
+def _int_str_limit():
+    # CPython's int/str conversion limit, or None where it has none
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@contextlib.contextmanager
+def _no_int_str_limit():
+    limit = _int_str_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_gaps_prints_results_past_the_int_str_limit(capsys):
+    m = 100_000  # 7**m has 84 510 digits, past CPython's default limit of 4300
+    limit = _int_str_limit()
+    code, out, err = run(capsys, "gaps", "3", "5", "--power", str(m))
+    assert code == 0 and err == ""
+    assert _int_str_limit() == limit  # restored for an in-process caller
+    with _no_int_str_limit():
+        assert out.strip() == str(1 + 2**m + 4**m + 7**m)
+
+
+def _cli_process(*argv: str) -> tuple[float, str]:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "coinfloor.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    return elapsed, proc.stdout.strip()
+
+
+def test_gap_sums_answer_at_once_as_a_process():
+    # series for large pairs, the listing for few gaps and a large power
+    a, b = 3001, 3011
+    elapsed, out = _cli_process("gaps", str(a), str(b), "--power", "2")
+    assert elapsed < 1.0 and int(out) == (a - 1) * (b - 1) * a * b * (a * b - a - b) // 12
+    a, b = 10**299 + 1, 10**299 + 2
+    elapsed, out = _cli_process("gaps", str(a), str(b), "--power", "4")
+    assert elapsed < 1.0 and int(out) == gap_power_sum_bernoulli(a, b, 4)
+    elapsed, out = _cli_process("gaps", "301", "311", "--weighted", "1/2", "1")
+    with _no_int_str_limit():
+        value = Fraction(out)
+    assert elapsed < 1.0 and value.denominator == 2 ** (301 * 311 - 301 - 311 - 1)
+    elapsed, out = _cli_process("gaps", "3", "5", "--power", "2000")
+    assert elapsed < 1.0 and int(out) == 1 + 2**2000 + 4**2000 + 7**2000
+    elapsed, out = _cli_process("gaps", "3", "5", "--weighted", "1/2", "500")
+    want = sum(Fraction(1, 2) ** (n - 1) * n**500 for n in (1, 2, 4, 7))
+    assert elapsed < 1.0 and Fraction(out) == want

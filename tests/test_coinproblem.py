@@ -5,8 +5,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from coinfloor.coinproblem import (
+    _series_moment,
     BestFamilyPoint,
     NonRepSet,
     best2_count,
@@ -23,7 +26,13 @@ from coinfloor.coinproblem import (
     weighted_sylvester_sum,
 )
 from coinfloor.core import CoprimePair
-from oracle import brute_lattice3, brute_rep_count, brute_representables, floor_sum_iterative
+from oracle import (
+    brute_lattice3,
+    brute_rep_count,
+    brute_representables,
+    floor_sum_iterative,
+    gap_power_sum_bernoulli,
+)
 
 
 def test_frobenius_number_examples():
@@ -323,3 +332,38 @@ def test_weighted_sylvester_sum_reductions_and_validation():
         lam = Fraction(-3, 7)
         want = sum(lam ** (n - 1) * n**2 for n in nonrepresentable_set(p).gaps)
         assert weighted_sylvester_sum(p, lam, 2) == want
+
+
+_WEIGHTS = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.integers(1, 39), b=st.integers(1, 39), lam=_WEIGHTS, m=st.integers(0, 6))
+@example(a=1, b=7, lam=Fraction(1, 2), m=2)  # a coin of 1: no gaps
+@example(a=8, b=9, lam=Fraction(-1), m=3)  # lam**8 = 1: that factor vanishes at t = 0
+@example(a=2, b=9, lam=Fraction(-1), m=0)
+@example(a=14, b=3, lam=Fraction(-1), m=6)
+def test_gap_series_matches_listing(a, b, lam, m):
+    assume(gcd(a, b) == 1)
+    gaps = nonrepresentable_set(CoprimePair(a, b)).gaps
+    want = sum((lam ** (n - 1) * n**m for n in gaps), Fraction(0))
+    assert weighted_sylvester_sum(CoprimePair(a, b), lam, m) == want
+    if lam == 1:
+        assert sylvester_sum_power(CoprimePair(a, b), m) == want
+    if a > 1 and b > 1:  # the series itself, also where the listing is cheaper
+        assert _series_moment(a, b, lam.numerator, lam.denominator, m) == want
+
+
+def test_gap_power_sums_at_300_digits():
+    for a, b in ((10**299 + 1, 10**299 + 2), (3**629, 2**997)):
+        p = CoprimePair(a, b)
+        assert sylvester_sum_power(p, 0) == (a - 1) * (b - 1) // 2
+        assert sylvester_sum_power(p, 1) == (a - 1) * (b - 1) * (2 * a * b - a - b - 1) // 12
+        assert sylvester_sum_power(p, 2) == (a - 1) * (b - 1) * a * b * (a * b - a - b) // 12
+        for m in (3, 4, 7):
+            value = sylvester_sum_power(p, m)
+            assert type(value) is int and value == gap_power_sum_bernoulli(a, b, m)
+        assert weighted_sylvester_sum(p, 1, 4) == sylvester_sum_power(p, 4)
