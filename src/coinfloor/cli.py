@@ -6,32 +6,19 @@ header row plus data rows.  Exit codes: 0 success, 1 domain or usage error
 (diagnostics on stderr), 2 verification failure.  A reader that closes
 the pipe before the output is written ends the command with exit 1 and no
 traceback.
+
+Each handler imports the library modules it uses when it runs, and looks
+their names up on the module at call time, so a process loads only what
+its command needs (floorsum loads coinfloor.floorsum alone); json and csv
+are imported only by the output branch that prints them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import re
 import sys
-from fractions import Fraction
-
-from .coinproblem import (
-    best_family_point,
-    count_representable_upto,
-    frobenius_number,
-    nonrepresentable_set,
-    representation_count,
-    sylvester_sum,
-    sylvester_sum_power,
-    weighted_sylvester_sum,
-)
-from .core import CoprimePair
-from .floorsum import fast_floor_sum, naive_floor_sum
-from .jacobi import jacobi_by_definition, jacobi_eisenstein
-from .verify import TABLE1_PAIR, TABLE1_ROWS, GridSpec, reproduce_table1, run_suites
 
 __all__ = ["main"]
 
@@ -68,9 +55,13 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict, result, columns:
     fixes the column order for row output.
     """
     if args.format == "json":
+        import json
+
         print(json.dumps({"command": command, "inputs": inputs, "result": result}))
         return
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         if isinstance(result, list):
             writer.writerow(columns)
@@ -87,8 +78,16 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict, result, columns:
         print(result)
 
 
+def _pair(args: argparse.Namespace):
+    from . import core
+
+    return core.CoprimePair(args.a, args.b)
+
+
 def _cmd_floorsum(args: argparse.Namespace) -> int:
-    evaluate = naive_floor_sum if args.naive else fast_floor_sum
+    from . import floorsum
+
+    evaluate = floorsum.naive_floor_sum if args.naive else floorsum.fast_floor_sum
     value = evaluate(args.a, args.b, args.d)
     inputs = {"a": args.a, "b": args.b, "d": args.d, "naive": bool(args.naive)}
     _emit(args, "floorsum", inputs, value)
@@ -96,30 +95,38 @@ def _cmd_floorsum(args: argparse.Namespace) -> int:
 
 
 def _cmd_frobenius(args: argparse.Namespace) -> int:
-    value = frobenius_number(CoprimePair(args.a, args.b))
+    from . import coinproblem
+
+    value = coinproblem.frobenius_number(_pair(args))
     _emit(args, "frobenius", {"a": args.a, "b": args.b}, value)
     return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    value = representation_count(CoprimePair(args.a, args.b), args.n).count
+    from . import coinproblem
+
+    value = coinproblem.representation_count(_pair(args), args.n).count
     _emit(args, "count", {"a": args.a, "b": args.b, "n": args.n}, value)
     return 0
 
 
 def _cmd_upto(args: argparse.Namespace) -> int:
-    value = count_representable_upto(CoprimePair(args.a, args.b), args.k)
+    from . import coinproblem
+
+    value = coinproblem.count_representable_upto(_pair(args), args.k)
     _emit(args, "upto", {"a": args.a, "b": args.b, "k": args.k}, value)
     return 0
 
 
-def _family_row(pair: CoprimePair, alpha: int) -> dict:
-    point = best_family_point(pair, alpha)
+def _family_row(pair, alpha: int) -> dict:
+    from . import coinproblem
+
+    point = coinproblem.best_family_point(pair, alpha)
     return {"alpha": point.alpha, "beta": point.beta, "k": point.k, "n0": point.n0}
 
 
 def _cmd_best(args: argparse.Namespace) -> int:
-    pair = CoprimePair(args.a, args.b)
+    pair = _pair(args)
     columns = ["alpha", "beta", "k", "n0"]
     inputs = {"a": args.a, "b": args.b}
     if args.all:
@@ -136,14 +143,18 @@ def _cmd_best(args: argparse.Namespace) -> int:
 
 
 def _cmd_gaps(args: argparse.Namespace) -> int:
-    pair = CoprimePair(args.a, args.b)
+    from . import coinproblem
+
+    pair = _pair(args)
     inputs: dict = {"a": args.a, "b": args.b}
     if args.sum:
-        _emit(args, "gaps", dict(inputs, sum=True), sylvester_sum(pair))
+        _emit(args, "gaps", dict(inputs, sum=True), coinproblem.sylvester_sum(pair))
     elif args.power is not None:
         _emit(args, "gaps", dict(inputs, power=args.power),
-              sylvester_sum_power(pair, args.power))
+              coinproblem.sylvester_sum_power(pair, args.power))
     elif args.weighted is not None:
+        from fractions import Fraction
+
         lam_text, m_text = args.weighted
         try:
             lam = Fraction(lam_text)
@@ -153,10 +164,10 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
             m = int(m_text)
         except ValueError:
             raise ValueError(f"argument --weighted: invalid int value: {m_text!r}")
-        value = weighted_sylvester_sum(pair, lam, m)
+        value = coinproblem.weighted_sylvester_sum(pair, lam, m)
         _emit(args, "gaps", dict(inputs, weighted=str(lam), power=m), str(value))
     else:
-        gaps = nonrepresentable_set(pair).gaps
+        gaps = coinproblem.nonrepresentable_set(pair).gaps
         if args.format == "plain":
             print(" ".join(map(str, gaps)))
         else:
@@ -165,20 +176,24 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
 
 
 def _cmd_jacobi(args: argparse.Namespace) -> int:
-    fn = jacobi_eisenstein if args.method == "eisenstein" else jacobi_by_definition
+    from . import jacobi
+
+    fn = jacobi.jacobi_eisenstein if args.method == "eisenstein" else jacobi.jacobi_by_definition
     value = fn(args.a, args.b)
     _emit(args, "jacobi", {"a": args.a, "b": args.b, "method": args.method}, value)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    grid = GridSpec(
+    from . import verify
+
+    grid = verify.GridSpec(
         a_max=args.grid[0],
         b_max=args.grid[1],
         odd_only=args.odd_only,
         seed=args.seed,
     )
-    results = run_suites(args.suite, grid)
+    results = verify.run_suites(args.suite, grid)
     inputs = {
         "grid": list(args.grid),
         "odd_only": args.odd_only,
@@ -212,14 +227,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    result = reproduce_table1()
+    from . import verify
+
+    result = verify.reproduce_table1()
     if not result.passed:
         for f in result.failures:
             print(f"table1 mismatch: {dict(f.inputs)} expected={f.expected} actual={f.actual}",
                   file=sys.stderr)
         return 2
-    rows = [{"alpha": alpha, "k": k, "n0": n0} for alpha, k, n0 in TABLE1_ROWS]
-    _emit(args, "table1", {"a": TABLE1_PAIR[0], "b": TABLE1_PAIR[1]}, rows, ["alpha", "k", "n0"])
+    rows = [{"alpha": alpha, "k": k, "n0": n0} for alpha, k, n0 in verify.TABLE1_ROWS]
+    a, b = verify.TABLE1_PAIR
+    _emit(args, "table1", {"a": a, "b": b}, rows, ["alpha", "k", "n0"])
     return 0
 
 

@@ -25,12 +25,11 @@ count is small against m^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import comb, factorial, lcm
 
-from .core import CoprimePair
+from .core import CoprimePair, _FrozenRecord
 from .floorsum import floor_sum_affine_steps
 
 __all__ = [
@@ -51,16 +50,16 @@ __all__ = [
     "weighted_sylvester_sum",
 ]
 
-@dataclass(frozen=True)
-class RepCount:
+class RepCount(_FrozenRecord):
     """Number of nonnegative solutions (x, y) of a*x + b*y = n."""
 
-    n: int
-    count: int
+    _fields = ("n", "count")
+
+    def __init__(self, n: int, count: int) -> None:
+        vars(self).update(n=n, count=count)
 
 
-@dataclass(frozen=True)
-class BestFamilyPoint:
+class BestFamilyPoint(_FrozenRecord):
     """One member of the closed-form threshold-count family.
 
     For b < a and 0 < alpha < a with alpha == a (mod 2):
@@ -72,18 +71,19 @@ class BestFamilyPoint:
     and n0 equals the number of representable integers in [0, k].
     """
 
-    alpha: int
-    beta: int
-    k: int
-    n0: int
+    _fields = ("alpha", "beta", "k", "n0")
+
+    def __init__(self, alpha: int, beta: int, k: int, n0: int) -> None:
+        vars(self).update(alpha=alpha, beta=beta, k=k, n0=n0)
 
 
-@dataclass(frozen=True)
-class NonRepSet:
+class NonRepSet(_FrozenRecord):
     """All nonrepresentable naturals (gaps) of a pair, sorted ascending."""
 
-    pair: CoprimePair
-    gaps: tuple[int, ...]
+    _fields = ("pair", "gaps")
+
+    def __init__(self, pair: CoprimePair, gaps: tuple[int, ...]) -> None:
+        vars(self).update(pair=pair, gaps=gaps)
 
     @property
     def count(self) -> int:
@@ -317,6 +317,11 @@ def _series_moment(a: int, b: int, p: int, q: int, m: int) -> Fraction:
                     p * q ** (top - 1) * k1 * k2)
 
 
+# Largest weighted gap sum, in estimated bits, that weighted_sylvester_sum
+# computes for lam != +-1; printing one this size takes a fraction of a second.
+_WEIGHTED_BITS_BUDGET = 2**18
+
+
 def sylvester_sum(p: CoprimePair) -> int:
     """Sum of all gaps in closed form: (a-1)(b-1)(2ab - a - b - 1) / 12, exactly."""
     a, b = p.a, p.b
@@ -339,7 +344,9 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
     is always representable, no gap raises lam to a negative power.  The
     series takes O(m^2) products and the listing O(ab) terms; the listing
     runs only when the (a-1)(b-1)/2 gaps are no more than m^2.  For
-    lam != +-1 the result itself has about ab*log|lam| bits.
+    lam = p/q != +-1 the result itself has about (ab - a - b) *
+    max(bits(p), bits(q)) bits; past _WEIGHTED_BITS_BUDGET (2**18) the call
+    raises ValueError before any work.
     """
     lam = Fraction(lam)
     if lam == 0:
@@ -350,6 +357,11 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
     if a == 1 or b == 1:
         return Fraction(0)
     num, den = lam.numerator, lam.denominator
+    if abs(num) != den:  # lam != +-1
+        size = (a * b - a - b) * max(abs(num).bit_length(), den.bit_length())
+        if size > _WEIGHTED_BITS_BUDGET:
+            raise ValueError(f"weighted gap sum would have about {size} bits, "
+                             f"over the budget of {_WEIGHTED_BITS_BUDGET} bits")
     if (a - 1) * (b - 1) // 2 > m * m:
         return _series_moment(a, b, num, den, m)
     top = a * b - a - b

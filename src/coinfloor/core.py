@@ -4,12 +4,16 @@ Deterministic primality, trial-division factorization, and the validated
 coprime-pair value object used as a parameter everywhere.  gcd, modular
 inverses and modular powers come from the stdlib (math.gcd and pow).
 All functions are pure; all values are immutable after construction.
+
+The package's records derive from _Record here: plain classes whose
+__init__ fills __dict__ in field order, with a repr and value equality
+over _fields.  They stand in for dataclasses, whose import (inspect
+with it) costs each CLI process several milliseconds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
     "is_prime",
@@ -71,22 +75,61 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class CoprimePair:
+class _Record:
+    """Value record: repr and equality over the fields named in _fields.
+
+    Equal records have the same class and equal fields; a mutable record
+    is unhashable, as a list is.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class _FrozenRecord(_Record):
+    """A _Record that refuses assignment after __init__ and hashes by value.
+
+    __init__ writes its fields through vars(self), which bypasses
+    __setattr__.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class CoprimePair(_FrozenRecord):
     """A validated pair (a, b) of positive coprime integers.
 
     The inverse of a modulo b is computed once at construction; it backs
-    the O(1) representability and solution-count formulas.
+    the O(1) representability and solution-count formulas.  It takes no
+    part in the repr or in equality.
     """
 
-    a: int
-    b: int
-    inv_a_mod_b: int = field(init=False, repr=False, compare=False)
+    _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise ValueError(f"pair members must be positive, got ({self.a}, {self.b})")
-        if math.gcd(self.a, self.b) != 1:
-            raise ValueError(f"({self.a}, {self.b}) are not coprime")
-        object.__setattr__(self, "inv_a_mod_b", pow(self.a, -1, self.b))
+    def __init__(self, a: int, b: int) -> None:
+        if a < 1 or b < 1:
+            raise ValueError(f"pair members must be positive, got ({a}, {b})")
+        if math.gcd(a, b) != 1:
+            raise ValueError(f"({a}, {b}) are not coprime")
+        vars(self).update(a=a, b=b, inv_a_mod_b=pow(a, -1, b))
 

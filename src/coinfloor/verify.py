@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_right
-from dataclasses import dataclass
 from math import gcd
 
 from .coinproblem import (
@@ -27,9 +25,8 @@ from .coinproblem import (
     best_family_point,
     count_lattice_3var,
     count_representable_upto,
-    nonrepresentable_set,
 )
-from .core import CoprimePair, is_prime
+from .core import CoprimePair, _FrozenRecord, _Record, is_prime
 from .floorsum import (
     fast_floor_sum,
     gauss_residual,
@@ -89,8 +86,7 @@ TABLE1_ROWS: tuple[tuple[int, int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_FrozenRecord):
     """Parameter grid for the identity checks.
 
     Exhaustive pairs run over the coprime pairs in 1..a_max x 1..b_max,
@@ -98,36 +94,37 @@ class GridSpec:
     cases are added to the checks that can afford them.
     """
 
-    a_max: int = 60
-    b_max: int = 60
-    odd_only: bool = False
-    seed: int = 0
-    sample_count: int = 200
+    _fields = ("a_max", "b_max", "odd_only", "seed", "sample_count")
 
-    def __post_init__(self) -> None:
-        if self.a_max < 2 or self.b_max < 2:
-            raise ValueError(f"a_max and b_max must be >= 2, got ({self.a_max}, {self.b_max})")
-        if self.sample_count < 0:
-            raise ValueError(f"sample_count must be >= 0, got {self.sample_count}")
+    def __init__(self, a_max: int = 60, b_max: int = 60, odd_only: bool = False,
+                 seed: int = 0, sample_count: int = 200) -> None:
+        if a_max < 2 or b_max < 2:
+            raise ValueError(f"a_max and b_max must be >= 2, got ({a_max}, {b_max})")
+        if sample_count < 0:
+            raise ValueError(f"sample_count must be >= 0, got {sample_count}")
+        vars(self).update(a_max=a_max, b_max=b_max, odd_only=odd_only, seed=seed,
+                          sample_count=sample_count)
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(_FrozenRecord):
     """One mismatching grid point: named inputs plus both sides of the check."""
 
-    inputs: tuple[tuple[str, int], ...]
-    expected: object
-    actual: object
+    _fields = ("inputs", "expected", "actual")
+
+    def __init__(self, inputs: tuple[tuple[str, int], ...], expected: object, actual: object) -> None:
+        vars(self).update(inputs=inputs, expected=expected, actual=actual)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(_Record):
     """Outcome of one named check over its grid."""
 
-    check_id: str
-    cases_run: int
-    failures: list[Failure]
-    elapsed: float
+    _fields = ("check_id", "cases_run", "failures", "elapsed")
+
+    def __init__(self, check_id: str, cases_run: int, failures: list[Failure], elapsed: float) -> None:
+        self.check_id = check_id
+        self.cases_run = cases_run
+        self.failures = failures
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
@@ -198,11 +195,6 @@ def _count_by_membership(pair: CoprimePair, k: int) -> int:
     floor-sum route of count_representable_upto."""
     a, b, inv = pair.a, pair.b, pair.inv_a_mod_b
     return sum(1 for n in range(k + 1) if a * (n % b * inv % b) <= n)
-
-
-def _count_by_gaps(gaps: tuple[int, ...], k: int) -> int:
-    """N0(a, b; k) from the sorted gap listing: every n in [0, k] but the gaps."""
-    return max(0, k + 1 - bisect_right(gaps, k))
 
 
 def _grid_pairs(g: GridSpec) -> list[tuple[int, int]]:
@@ -299,9 +291,9 @@ def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
     b*d + a*K, the same count through the gap deficit and the threshold
     count, and the closed-form threshold family.  The lattice and threshold
     counts under test take O(log b) floor-sum rounds each; the expected
-    threshold count N0(k) comes from the gap listing instead (k + 1 minus
-    the gaps up to k), a bit-mask enumeration built once per pair in
-    O(ab) bits, so neither side runs an O(k) loop.
+    threshold count N0(k) comes from the gap mask instead (k + 1 minus
+    the set bits up to k), built once per pair in O(ab) bits, so neither
+    side runs an O(k) loop.
     """
     clock = _Clock()
     rec_halfline = _Recorder("lattice_halfline_count", clock)
@@ -320,7 +312,7 @@ def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
         )
         if b >= a:
             continue
-        gaps = nonrepresentable_set(pair).gaps
+        gap_bits = _gap_bits(a, b)
         for d in range(1, a):
             K = b * d // a
             if K < 1:
@@ -335,7 +327,8 @@ def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
             if 2 * d <= a:
                 continue
             k = target - a * b
-            n0 = _count_by_gaps(gaps, k)
+            # every n in [0, k] but the gaps up to k; none when k < 0
+            n0 = k + 1 - (gap_bits & ((1 << (k + 1)) - 1)).bit_count() if k >= 0 else 0
             rec_deficit.case(
                 {"a": a, "b": b, "d": d},
                 target + 1 - (a - 1) * (b - 1) // 2 + n0,

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from coinfloor import cli
+from coinfloor import cli, verify
 from coinfloor.coinproblem import weighted_sylvester_sum
 from coinfloor.core import CoprimePair
 from coinfloor.verify import CheckResult, Failure, TABLE1_ROWS
@@ -180,7 +180,7 @@ def test_verify_exit_code_2_on_failure(capsys, monkeypatch):
     fake = CheckResult(check_id="rigged", cases_run=1,
                        failures=[Failure(inputs=(("a", 1),), expected=0, actual=1)],
                        elapsed=0.0)
-    monkeypatch.setattr(cli, "run_suites", lambda suite, grid: [fake])
+    monkeypatch.setattr(verify, "run_suites", lambda suite, grid: [fake])
     code, out, _ = run(capsys, "verify", "--format", "csv")
     assert code == 2
 
@@ -238,13 +238,17 @@ def test_gaps_prints_results_past_the_int_str_limit(capsys):
         assert out.strip() == str(1 + 2**m + 4**m + 7**m)
 
 
-def _cli_process(*argv: str) -> tuple[float, str]:
+def _timed_process(*argv: str) -> tuple[float, subprocess.CompletedProcess]:
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "coinfloor.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    elapsed = time.perf_counter() - t0
+    return time.perf_counter() - t0, proc
+
+
+def _cli_process(*argv: str) -> tuple[float, str]:
+    elapsed, proc = _timed_process(*argv)
     assert proc.returncode == 0, proc.stderr
     return elapsed, proc.stdout.strip()
 
@@ -266,3 +270,11 @@ def test_gap_sums_answer_at_once_as_a_process():
     elapsed, out = _cli_process("gaps", "3", "5", "--weighted", "1/2", "500")
     want = sum(Fraction(1, 2) ** (n - 1) * n**500 for n in (1, 2, 4, 7))
     assert elapsed < 1.0 and Fraction(out) == want
+
+
+def test_weighted_sum_past_the_output_budget_is_refused_at_once():
+    # the result would have about 2 million bits; printing it took 3.5 s
+    elapsed, proc = _timed_process("gaps", "1001", "1003", "--weighted", "1/2", "1")
+    assert elapsed < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "budget of 262144 bits" in proc.stderr and "Traceback" not in proc.stderr

@@ -334,6 +334,25 @@ def test_weighted_sylvester_sum_reductions_and_validation():
         assert weighted_sylvester_sum(p, lam, 2) == want
 
 
+def test_weighted_sum_output_budget():
+    # lam = p/q != +-1: refused when (ab - a - b) * max(bits(p), bits(q)) > 2**18
+    half = Fraction(1, 2)
+    for pair, lam in (((2, 131075), half), ((1001, 1003), half), ((3001, 3011), Fraction(-1, 2)),
+                      ((301, 311), Fraction(1, 1000))):
+        with pytest.raises(ValueError, match="budget of 262144 bits"):
+            weighted_sylvester_sum(CoprimePair(*pair), lam, 1)
+    # just inside: the gaps of (2, 2k+1) are the odd n < 2k, so the sum at
+    # m = 0 is (1 - lam**(2k)) / (1 - lam**2); here the estimate is 262142 bits
+    k = 65536
+    assert weighted_sylvester_sum(CoprimePair(2, 2 * k + 1), half, 0) == (1 - half ** (2 * k)) / (1 - half**2)
+    # lam = +-1 and a coin of 1 are exempt, whatever the size
+    pair = CoprimePair(1001, 1003)
+    assert weighted_sylvester_sum(pair, 1, 1) == sylvester_sum(pair)
+    gaps = nonrepresentable_set(pair).gaps
+    assert weighted_sylvester_sum(pair, -1, 1) == sum(n if n % 2 else -n for n in gaps)
+    assert weighted_sylvester_sum(CoprimePair(1, 10**6), half, 1) == 0
+
+
 _WEIGHTS = st.one_of(
     st.sampled_from([Fraction(1), Fraction(-1)]),
     st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)),

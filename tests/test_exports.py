@@ -18,6 +18,18 @@ def test_module_all_is_exported_by_package(module_name):
         assert getattr(coinfloor, name) is getattr(module, name)
 
 
+def test_star_import_and_dir_cover_every_module_all():
+    public = {}
+    for module_name in MODULES:
+        module = importlib.import_module(f"coinfloor.{module_name}")
+        public.update((name, getattr(module, name)) for name in module.__all__)
+    namespace = {}
+    exec("from coinfloor import *", namespace)
+    for name, value in public.items():
+        assert namespace.get(name) is value, name
+    assert set(public) <= set(dir(coinfloor))
+
+
 def test_removed_names_stay_removed():
     # each has a stdlib or package replacement; see README "Removed names"
     removed = (
