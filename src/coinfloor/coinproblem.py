@@ -25,7 +25,6 @@ count is small against m^2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from math import comb, factorial, lcm
 
@@ -285,8 +284,9 @@ def _egf_product(x: list[int], y: list[int], n: int) -> int:
     return sum(comb(n, i) * x[i] * y[n - i] for i in range(n + 1))
 
 
-def _series_moment(a: int, b: int, p: int, q: int, m: int) -> Fraction:
-    """(m!/lam) [t^m] G(lam e^t) for lam = p/q, with a, b >= 2 coprime.
+def _series_moment(a: int, b: int, p: int, q: int, m: int) -> tuple[int, int]:
+    """(m!/lam) [t^m] G(lam e^t) for lam = p/q, with a, b >= 2 coprime, as
+    (numerator, denominator), not reduced.
 
     G(lam e^t) = R_1(t) - (1 - lam**ab e^(abt)) R_a(at) R_b(bt), where
     R_s(u) = 1/(1 - lam**s e^u) = q**s u**-v [u**v / (q**s - p**s e^u)] is
@@ -313,8 +313,8 @@ def _series_moment(a: int, b: int, p: int, q: int, m: int) -> Fraction:
     k1 = d1 * factorial(n1)
     k2 = a**va * b**vb * factorial(n) * da * db
     top = ab - a - b
-    return Fraction(factorial(m) * (q ** (top + 1) * x1[n1] * k2 - (q**ab * w1 - p**ab * w2) * k1),
-                    p * q ** (top - 1) * k1 * k2)
+    return (factorial(m) * (q ** (top + 1) * x1[n1] * k2 - (q**ab * w1 - p**ab * w2) * k1),
+            p * q ** (top - 1) * k1 * k2)
 
 
 # Largest weighted gap sum, in estimated bits, that weighted_sylvester_sum
@@ -348,14 +348,16 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
     max(bits(p), bits(q)) bits; past _WEIGHTED_BITS_BUDGET (2**18) the call
     raises ValueError before any work.
     """
-    lam = Fraction(lam)
+    import fractions  # here, not at module level: it loads decimal
+
+    lam = fractions.Fraction(lam)
     if lam == 0:
         raise ValueError("weight base must be nonzero")
     if m < 0:
         raise ValueError(f"power must be >= 0, got {m}")
     a, b = p.a, p.b
     if a == 1 or b == 1:
-        return Fraction(0)
+        return fractions.Fraction(0)
     num, den = lam.numerator, lam.denominator
     if abs(num) != den:  # lam != +-1
         size = (a * b - a - b) * max(abs(num).bit_length(), den.bit_length())
@@ -363,7 +365,8 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
             raise ValueError(f"weighted gap sum would have about {size} bits, "
                              f"over the budget of {_WEIGHTED_BITS_BUDGET} bits")
     if (a - 1) * (b - 1) // 2 > m * m:
-        return _series_moment(a, b, num, den, m)
+        return fractions.Fraction(*_series_moment(a, b, num, den, m))
     top = a * b - a - b
     gaps = nonrepresentable_set(p).gaps
-    return Fraction(sum(num ** (n - 1) * den ** (top - n) * n**m for n in gaps), den ** (top - 1))
+    return fractions.Fraction(sum(num ** (n - 1) * den ** (top - n) * n**m for n in gaps),
+                              den ** (top - 1))

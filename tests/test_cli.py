@@ -272,6 +272,14 @@ def test_gap_sums_answer_at_once_as_a_process():
     assert elapsed < 1.0 and Fraction(out) == want
 
 
+def test_naive_floor_sum_past_its_budget_is_refused_at_once():
+    # summing 10**12 terms one by one would not finish
+    elapsed, proc = _timed_process("floorsum", "3", "1", "1000000000000", "--naive")
+    assert elapsed < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "budget of 10000000 terms" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_weighted_sum_past_the_output_budget_is_refused_at_once():
     # the result would have about 2 million bits; printing it took 3.5 s
     elapsed, proc = _timed_process("gaps", "1001", "1003", "--weighted", "1/2", "1")

@@ -4,10 +4,11 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coinfloor.floorsum import (
+    _CHAIN_MIN,
     fast_floor_sum,
     fast_floor_sum_steps,
     floor_sum_affine_steps,
@@ -41,6 +42,9 @@ def test_query_validation():
             naive_floor_sum(*bad)
         with pytest.raises(ValueError):
             fast_floor_sum_steps(*bad)
+    # the term-by-term sum refuses an index past its budget before any work
+    with pytest.raises(ValueError, match=r"d = 10000001 .* budget of 10000000"):
+        naive_floor_sum(3, 1, 10**7 + 1)
 
 
 def test_fast_examples():
@@ -212,3 +216,61 @@ def test_affine_and_homogeneous_reducers_agree(a, b, d):
     # S(a, b, d) = sum_{i=0}^{d-1} floor((b*i + b)/a): the package's two
     # reducers cross-check each other at every scale
     assert floor_sum_affine_steps(d, a, b, b)[0] == fast_floor_sum_steps(a, b, d)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_MOD, b=_BIG, d=_BIG)
+@example(a=_FIB_M, b=_FIB_A, d=_FIB_M - 1)  # longest Euclid chain
+@example(a=_CHAIN_MIN + 7, b=_CHAIN_MIN - 5, d=_CHAIN_MIN - 1)  # a above the cut-over, b below
+@example(a=_CHAIN_MIN + 3, b=_CHAIN_MIN + 1, d=_CHAIN_MIN)  # leaves the chain after one round
+@example(a=10**150 + 1, b=10**299 + 7, d=10**300)  # b >= a and d >= a
+@example(a=6 * (10**299 + 3), b=4 * (10**299 + 3), d=10**300 - 1)  # gcd(a, b) = 2 * (10**299 + 3)
+def test_homogeneous_reducer_matches_independent_evaluator(a, b, d):
+    value, rounds = fast_floor_sum_steps(a, b, d)
+    assert value == floor_sum_iterative(d + 1, a, b, 0)
+    assert rounds <= _steps_bound(a, b)
+
+
+def _seeded_triples(seed, hi, n=6):
+    rng = random.Random(seed)
+    return [(rng.randrange(1, hi + 1), rng.randrange(0, hi + 1), rng.randrange(0, hi + 1))
+            for _ in range(n)]
+
+
+def test_round_counts_frozen_goldens():
+    # Round counts taken from the reducer that computed every K as
+    # floor(b*d/a); the remainder chain and the fused accumulation must
+    # leave them, and so the traced rounds per call, where they were.
+    assert fast_floor_sum_steps(29, 23, 8) == (24, 3)
+    assert [fast_floor_sum_steps(_FIB_M, _FIB_A, d)[1] for d in (_FIB_M - 1, 10**300)] == [1435, 1429]
+    assert fast_floor_sum_steps(_FIB_A, _FIB_M, _FIB_M - 1)[1] == 1433
+    for seed, hi, rounds in ((9, 10**9, [20, 17, 14, 15, 14, 18]),
+                             (300, 10**300, [581, 592, 584, 530, 569, 567])):
+        triples = _seeded_triples(seed, hi)
+        got = [fast_floor_sum_steps(*t) for t in triples]
+        assert [r for _, r in got] == rounds
+        assert [v for v, _ in got] == [floor_sum_iterative(d + 1, a, b, 0) for a, b, d in triples]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_MOD, b=_MOD, d=_MOD)
+def test_reciprocity_residual_at_300_digits(a, b, d):
+    a, b = max(a, b), min(a, b)
+    assume(b < a and gcd(a, b) == 1)
+    assert reciprocity_residual(a, b, (d - 1) % (a - 1) + 1) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_MOD, b=_MOD)
+@example(a=_FIB_M, b=_FIB_A)
+def test_strong_residual_at_300_digits(a, b):
+    assume(gcd(a, b) == 1)
+    assert strong_residual(a, b) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(min_value=0, max_value=10**300 // 2), y=st.integers(min_value=0, max_value=10**300 // 2))
+def test_gauss_residual_at_300_digits(x, y):
+    p, q = 2 * x + 1, 2 * y + 1
+    assume(p != q and gcd(p, q) == 1)
+    assert gauss_residual(p, q) == 0
