@@ -38,7 +38,6 @@ __all__ = [
     "frobenius_number",
     "is_representable",
     "representation_count",
-    "rep_count_shift_check",
     "count_representable_upto",
     "count_lattice_3var",
     "best_family_point",
@@ -126,12 +125,6 @@ def representation_count(p: CoprimePair, n: int) -> RepCount:
     if a * x0 > n:
         return RepCount(n=n, count=0)
     return RepCount(n=n, count=(n - a * x0) // (a * b) + 1)
-
-
-def rep_count_shift_check(p: CoprimePair, n: int) -> bool:
-    """Denumerant shift: does N(n + a*b) = N(n) + 1 hold?"""
-    ab = p.a * p.b
-    return representation_count(p, n + ab).count == representation_count(p, n).count + 1
 
 
 def count_representable_upto(p: CoprimePair, k: int) -> int:

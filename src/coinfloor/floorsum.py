@@ -10,12 +10,14 @@ normalizes the multiplier, strips whole periods of the index, then swaps
 numerator and denominator roles; each round shrinks the modulus like one
 Euclid division, so the number of rounds is O(log a).
 
-Each round of the reducer does one full-size product.  Its index K comes
-from the previous round's remainder by a small-quotient division while the
-operands are large (the remainder chain), and its two terms are added as
-one (the fused accumulation); fast_floor_sum_steps says how.  For n-bit
-operands a round then costs O(n) plus one n-bit product, and a call
-O(n^2) bit operations plus O(log a) products.
+While the operands are large, a round of the reducer does no full-size
+product.  Its index K comes from the previous round's remainder by a
+small-quotient division (the remainder chain), its two terms are added as
+one (the fused accumulation), and that term telescopes along the chain to
+K times a small number (the telescoped sum); fast_floor_sum_steps says
+how.  For n-bit operands a round above the cut-over then costs O(n), and a
+call O(n^2) bit operations plus O(1) full-size products.  Below the
+cut-over a round does one product of the by then small operands.
 
 The same sign-alternating reduction, applied to the affine sum
 F(n, m, a, c) = sum_{i=0}^{n-1} floor((a*i + c)/m), gives the lattice
@@ -45,7 +47,7 @@ __all__ = [
 
 # fast_floor_sum_steps takes K from the last remainder while b is above
 # this, and divides b*d by a below it (see its docstring for why here).
-_CHAIN_MIN = 1 << 256
+_CHAIN_MIN = 1 << 128
 
 # Largest index naive_floor_sum sums term by term.
 _NAIVE_MAX_D = 10**7
@@ -109,12 +111,24 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     small quotient and costs O(n) where floor(r*K/b) costs an n-bit product
     and a 2n/n-bit division.  Only the first round divides b*d by a.
 
+    Telescoped sum.  On the chain 2d - q*K = d + K' - c, so a round's fused
+    term is K(2d - q(K+1)) = d*K + K*K' - K(c + q).  The next round's d is
+    this round's K, so d*K + K*K' is P + P' with P = d*K, and in the
+    alternating sum every P but the first and the last cancels.  The loop
+    therefore starts acc at -d*K, which after J rounds of acc = x - acc
+    carries the first round's sign (-1)**(J-1); it adds only -K(c + q) per
+    round, where c + q lies in [-1, q] so the product is O(n); and it adds
+    the last P = d*K once where the chain stops, which is 0 when the chain
+    stopped on K = 0.
+
     Cut-over.  The chain costs a few more interpreter steps per round, which
-    is a loss on small operands, where those steps dominate: by measurement
-    it made 3-digit calls about a third slower and paid off from about 150
-    digits.  So it runs only while b > _CHAIN_MIN (2**256) and the loop then
-    continues with K = b*d // a.  The operands only shrink, so a call
-    crosses the cut-over at most once.
+    is a loss on small operands, where those steps dominate: chaining every
+    round made 3-digit calls about a third slower.  By measurement a
+    cut-over anywhere from 2**96 to 2**160 gives the same times within
+    noise, 2**64 is slower on 12-40 digits, and 2**256 is about 12% slower
+    on 70-110 digits.  So the chain runs only while b > _CHAIN_MIN (2**128)
+    and the loop then continues with K = b*d // a.  The operands only
+    shrink, so a call crosses the cut-over at most once.
     """
     _check_args(a, b, d)
     g = gcd(a, b)
@@ -135,12 +149,14 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     acc = 0
     if b > _CHAIN_MIN:
         K, e = divmod(b * d, a)
+        acc = -d * K  # enters with sign (-1)**(J-1) after J chain rounds
         while K and b > _CHAIN_MIN:
             q, r = divmod(a, b)
-            acc = K * (2 * d - q * (K + 1)) - acc
-            steps += 1
             c, e = divmod(-e, b)
+            acc = -K * (c + q) - acc  # c + q lies in [-1, q]
+            steps += 1
             a, b, d, K = b, r, K, d - q * K + c
+        acc += d * K  # boundary term; 0 when the chain ended on K = 0
     else:
         K = b * d // a
     while K:

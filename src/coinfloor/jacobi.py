@@ -5,11 +5,11 @@ The production path maps the parity of S(b, a, (b-1)/2) to a sign:
     (a/b) = (-1)**sum_{i=1}^{(b-1)/2} floor(i*a/b)
 
 for odd positive coprime a and b.  Oracle paths: prime factorization of the
-denominator combined with Euler's criterion, a literal quadratic-residue
-search for small prime moduli, and the half-range residue count whose
-parity gives the Legendre symbol.  Two parity congruences (ge1, ge2) are
-exposed as residuals; they are what lets the denominator and numerator of
-the symbol split multiplicatively, and they vanish on their whole domain.
+denominator (up to 10**14) combined with Euler's criterion, and the
+half-range residue count whose parity gives the Legendre symbol.  Two
+parity congruences (ge1, ge2) are exposed as residuals; they are what lets
+the denominator and numerator of the symbol split multiplicatively, and
+they vanish on their whole domain.
 
 All symbol values are plain ints constrained to {-1, 0, +1}.
 """
@@ -23,7 +23,6 @@ from .floorsum import fast_floor_sum
 
 __all__ = [
     "legendre_euler",
-    "legendre_by_search",
     "jacobi_by_definition",
     "jacobi_eisenstein",
     "gauss_lemma_count",
@@ -31,6 +30,10 @@ __all__ = [
     "ge2_residual",
     "jacobi_reciprocity_check",
 ]
+
+
+# Largest denominator jacobi_by_definition factorizes.
+_FACTOR_MAX_B = 10**14
 
 
 def _check_odd_prime(p: int) -> None:
@@ -50,23 +53,18 @@ def legendre_euler(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def legendre_by_search(a: int, p: int) -> int:
-    """Definitional Legendre symbol: scan for an x with x*x == a (mod p).
-
-    O(p); the second-level oracle for small p.
-    """
-    _check_odd_prime(p)
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if a in {x * x % p for x in range(1, p)} else -1
-
-
 def jacobi_by_definition(a: int, b: int) -> int:
     """Jacobi symbol (a/b) as the product of Legendre symbols over the
-    prime factorization of the odd denominator b; (a/1) = +1."""
+    prime factorization of the odd denominator b; (a/1) = +1.
+
+    Factorizing is trial division, O(sqrt(b)), so b over _FACTOR_MAX_B
+    (10**14, under a second) raises ValueError before any work.
+    """
     if b < 1 or b % 2 == 0:
         raise ValueError(f"denominator must be a positive odd integer, got {b}")
+    if b > _FACTOR_MAX_B:
+        raise ValueError(f"denominator b = {b} is over the budget of {_FACTOR_MAX_B} "
+                         "for factorizing by trial division")
     result = 1
     for prime, mult in factorize(b):
         s = legendre_euler(a, prime)

@@ -60,6 +60,24 @@ def naive_prefix(a: int, b: int, d_max: int) -> list[int]:
     return out
 
 
+def legendre_by_search(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for an odd prime p, by scanning for an x with
+    x*x == a (mod p).  O(p): the definitional oracle for small p."""
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if a in {x * x % p for x in range(1, p)} else -1
+
+
+def rep_count_shift_check(count, ab: int, n: int) -> bool:
+    """Denumerant shift: does count(n + ab) = count(n) + 1 hold?
+
+    count is the solution-count function under test for coins whose
+    product is ab.
+    """
+    return count(n + ab) == count(n) + 1
+
+
 def brute_rep_count(a: int, b: int, n: int) -> int:
     """Number of (x, y) >= 0 with a*x + b*y = n, by scanning x."""
     return sum(1 for x in range(n // a + 1) if (n - a * x) % b == 0)

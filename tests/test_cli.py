@@ -280,6 +280,14 @@ def test_naive_floor_sum_past_its_budget_is_refused_at_once():
     assert "budget of 10000000 terms" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_jacobi_by_definition_past_its_budget_is_refused_at_once():
+    # factorizing an 80-digit denominator by trial division would not finish
+    elapsed, proc = _timed_process("jacobi", "3", str(10**79 + 1), "--method", "definition")
+    assert elapsed < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "budget of 100000000000000" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_weighted_sum_past_the_output_budget_is_refused_at_once():
     # the result would have about 2 million bits; printing it took 3.5 s
     elapsed, proc = _timed_process("gaps", "1001", "1003", "--weighted", "1/2", "1")

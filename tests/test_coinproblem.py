@@ -19,7 +19,6 @@ from coinfloor.coinproblem import (
     frobenius_number,
     is_representable,
     nonrepresentable_set,
-    rep_count_shift_check,
     representation_count,
     sylvester_sum,
     sylvester_sum_power,
@@ -32,6 +31,7 @@ from oracle import (
     brute_representables,
     floor_sum_iterative,
     gap_power_sum_bernoulli,
+    rep_count_shift_check,
 )
 
 
@@ -73,17 +73,21 @@ def test_representation_count_examples():
     assert rc.n == 667
 
 
+def _shift_holds(p, n):
+    return rep_count_shift_check(lambda m: representation_count(p, m).count, p.a * p.b, n)
+
+
 def test_rep_count_shift_examples_and_sweep():
-    assert rep_count_shift_check(CoprimePair(29, 23), 0)
-    assert rep_count_shift_check(CoprimePair(2, 3), 1)
-    assert rep_count_shift_check(CoprimePair(5, 7), 23)
+    assert _shift_holds(CoprimePair(29, 23), 0)
+    assert _shift_holds(CoprimePair(2, 3), 1)
+    assert _shift_holds(CoprimePair(5, 7), 23)
     for a in range(1, 41):
         for b in range(1, 41):
             if gcd(a, b) != 1:
                 continue
             p = CoprimePair(a, b)
             for n in range(2 * a * b + 1):
-                assert rep_count_shift_check(p, n)
+                assert _shift_holds(p, n)
 
 
 def test_count_representable_upto_examples():

@@ -225,10 +225,31 @@ def test_affine_and_homogeneous_reducers_agree(a, b, d):
 @example(a=_CHAIN_MIN + 3, b=_CHAIN_MIN + 1, d=_CHAIN_MIN)  # leaves the chain after one round
 @example(a=10**150 + 1, b=10**299 + 7, d=10**300)  # b >= a and d >= a
 @example(a=6 * (10**299 + 3), b=4 * (10**299 + 3), d=10**300 - 1)  # gcd(a, b) = 2 * (10**299 + 3)
+@example(a=1000 * (10**297 + 1) + 10**100 + 1, b=10**297 + 1, d=1500)  # one chain round, ends on K = 0 above the cut-over
 def test_homogeneous_reducer_matches_independent_evaluator(a, b, d):
     value, rounds = fast_floor_sum_steps(a, b, d)
     assert value == floor_sum_iterative(d + 1, a, b, 0)
     assert rounds <= _steps_bound(a, b)
+
+
+@pytest.mark.parametrize("chain_min", [0, 1, 5, 2**32])
+def test_chain_at_every_cut_over_matches_naive(monkeypatch, chain_min):
+    # the reducer reads the module constant on each call, so lowering it runs
+    # the remainder chain and the telescoped sum on every small input; at 0
+    # and 1 the chain always ends on K = 0, at 5 it can stop on K > 0 and
+    # add a nonzero boundary term, and 2**32 leaves it to the plain loop
+    default = {(a, b, d): fast_floor_sum_steps(a, b, d)[1]
+               for a in range(1, 40) for b in range(60) for d in range(60)}
+    monkeypatch.setattr("coinfloor.floorsum._CHAIN_MIN", chain_min)
+    for a in range(1, 40):
+        for b in range(60):
+            prefix = naive_prefix(a, b, 59)
+            bound = _steps_bound(a, b)
+            for d in range(60):
+                value, steps = fast_floor_sum_steps(a, b, d)
+                assert value == prefix[d], (a, b, d)
+                assert steps <= bound, (a, b, d, steps)
+                assert steps == default[a, b, d], (a, b, d)
 
 
 def _seeded_triples(seed, hi, n=6):

@@ -12,9 +12,9 @@ from coinfloor.jacobi import (
     jacobi_by_definition,
     jacobi_eisenstein,
     jacobi_reciprocity_check,
-    legendre_by_search,
     legendre_euler,
 )
+from oracle import legendre_by_search
 
 
 def test_legendre_euler_examples():
@@ -45,6 +45,15 @@ def test_jacobi_by_definition_examples():
         jacobi_by_definition(2, 10)
     with pytest.raises(ValueError):
         jacobi_by_definition(2, 0)
+
+
+def test_jacobi_by_definition_refuses_past_its_budget():
+    # trial division to sqrt(b): 10**14 takes under a second, 80 digits would not finish
+    b = 10**14 - 1  # the largest odd denominator within the budget
+    assert jacobi_by_definition(5, b) == jacobi_eisenstein(5, b)
+    for b in (10**14 + 1, 10**79 + 1):
+        with pytest.raises(ValueError, match=rf"b = {b} is over the budget of 100000000000000"):
+            jacobi_by_definition(3, b)
 
 
 def test_jacobi_numerator_multiplicativity():
