@@ -130,7 +130,8 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     and the loop then continues with K = b*d // a.  The operands only
     shrink, so a call crosses the cut-over at most once.
     """
-    _check_args(a, b, d)
+    if a < 1 or b < 0 or d < 0:  # _check_args names the first bad argument
+        _check_args(a, b, d)
     g = gcd(a, b)
     if g > 1:
         a //= g

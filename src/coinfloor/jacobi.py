@@ -6,10 +6,10 @@ The production path maps the parity of S(b, a, (b-1)/2) to a sign:
 
 for odd positive coprime a and b.  Oracle paths: prime factorization of the
 denominator (up to 10**14) combined with Euler's criterion, and the
-half-range residue count whose parity gives the Legendre symbol.  Two
-parity congruences (ge1, ge2) are exposed as residuals; they are what lets
-the denominator and numerator of the symbol split multiplicatively, and
-they vanish on their whole domain.
+half-range residue count (p up to 10**7) whose parity gives the Legendre
+symbol.  Two parity congruences (ge1, ge2) are exposed as residuals; they
+are what lets the denominator and numerator of the symbol split
+multiplicatively, and they vanish on their whole domain.
 
 All symbol values are plain ints constrained to {-1, 0, +1}.
 """
@@ -34,6 +34,9 @@ __all__ = [
 
 # Largest denominator jacobi_by_definition factorizes.
 _FACTOR_MAX_B = 10**14
+
+# Largest modulus gauss_lemma_count runs its O(p) count for (about a second).
+_GAUSS_MAX_P = 10**7
 
 
 def _check_odd_prime(p: int) -> None:
@@ -91,8 +94,13 @@ def jacobi_eisenstein(a: int, b: int) -> int:
 def gauss_lemma_count(a: int, p: int) -> int:
     """Count the residues of a, 2a, ..., ((p-1)/2)*a mod p exceeding p/2.
 
-    (-1) to this count equals the Legendre symbol (a/p).
+    (-1) to this count equals the Legendre symbol (a/p).  The count visits
+    each residue, O(p), so p over _GAUSS_MAX_P (10**7) raises ValueError
+    before any work.
     """
+    if p > _GAUSS_MAX_P:
+        raise ValueError(f"modulus p = {p} is over the budget of {_GAUSS_MAX_P} "
+                         "for counting residues one by one")
     _check_odd_prime(p)
     if gcd(a, p) != 1:
         raise ValueError(f"({a}, {p}) are not coprime")
@@ -101,6 +109,9 @@ def gauss_lemma_count(a: int, p: int) -> int:
 
 
 def _check_odd_triple(a: int, b: int, c: int) -> None:
+    # one chain for the common case; gcd(a, b*c) == 1 iff both gcds are 1
+    if 0 < a and 0 < b and 0 < c and a % 2 == b % 2 == c % 2 == 1 and gcd(a, b * c) == 1:
+        return
     for name, v in (("a", a), ("b", b), ("c", c)):
         if v < 1 or v % 2 == 0:
             raise ValueError(f"{name} must be a positive odd integer, got {v}")

@@ -1,10 +1,13 @@
 """Tests for the integer primitives."""
 
+import random
+import time
 from math import gcd
 
 import pytest
 
 from coinfloor.core import CoprimePair, factorize, is_prime
+from coinfloor.jacobi import jacobi_by_definition, jacobi_eisenstein
 
 
 def test_mod_inverse_examples():
@@ -72,6 +75,75 @@ def test_factorize_roundtrip():
         assert product == n
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def _assert_factorization(n, factors, prime_cache):
+    assert factors == sorted(factors)
+    product = 1
+    for p, r in factors:
+        if p not in prime_cache:
+            prime_cache[p] = is_prime(p)
+        assert prime_cache[p], (n, p)
+        assert r >= 1
+        product *= p**r
+    assert product == n
+
+
+def test_factorize_roundtrip_to_1e5():
+    # the primes below 2**15 come from a table; every n here factors within it
+    primes = {}
+    for n in range(1, 10**5 + 1):
+        _assert_factorization(n, factorize(n), primes)
+
+
+# Past the table's last prime (32749) trial division goes on with odd
+# numbers, from 2**15 + 1: primes and prime products just above that edge,
+# and the slowest inputs under the budget.
+_SLOWEST = (9999973 * 9999991, 99999999999973)  # half a second each
+_EDGE_CASES = (
+    32771, 32779, 32749 * 32771, 32771**2, 32771 * 65537, 32771**2 * 32779,
+    2**15 + 1, 2**15 - 1, 32749**2, 32749 * 2**20, 65537**2, 3 * 5 * 32771 * 32779,
+    10**14, 10**14 - 1, *_SLOWEST,
+)
+
+
+def _seeded_cases():
+    rng = random.Random(20211)
+    cases = list(_EDGE_CASES)
+    for digits in range(6, 13):
+        cases += [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(3)]
+    # a prime just above the table times a random cofactor
+    cases += [p * rng.randrange(1, 10**8) for p in (32771, 32779, 32783) for _ in range(3)]
+    return cases
+
+
+def test_factorize_past_the_prime_table():
+    primes = {}
+    cases = _seeded_cases()
+    factorizations = {n: factorize(n) for n in cases}
+    for n, factors in factorizations.items():
+        _assert_factorization(n, factors, primes)
+    assert factorizations[32771**2] == [(32771, 2)]
+    assert factorizations[32771 * 65537] == [(32771, 1), (65537, 1)]
+    assert factorizations[32749 * 32771] == [(32749, 1), (32771, 1)]
+    # the definition oracle factorizes b again for each numerator
+    rng = random.Random(7)
+    for b in cases:
+        if b % 2 == 0 or b in _SLOWEST:
+            continue
+        numerators = [1, 3, b - 2, b + 2, 32771, 65537] + [rng.randrange(1, b) | 1 for _ in range(2)]
+        for a in numerators:
+            if a > 0 and gcd(a, b) == 1:
+                assert jacobi_by_definition(a, b) == jacobi_eisenstein(a, b), (a, b)
+
+
+def test_factorize_refuses_past_its_budget():
+    assert factorize(10**14) == [(2, 14), (5, 14)]
+    for n in (10**14 + 1, 10**20 + 39):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"n = {n} is over the budget of 100000000000000"):
+            factorize(n)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_coprime_pair_validation():

@@ -47,6 +47,23 @@ def test_query_validation():
         naive_floor_sum(3, 1, 10**7 + 1)
 
 
+def test_fast_argument_messages():
+    # the reducer's one-comparison check falls back to _check_args, which
+    # names the first bad argument
+    cases = (
+        ((0, 3, 5), "modulus a must be >= 1, got 0"),
+        ((-2, -1, -5), "modulus a must be >= 1, got -2"),
+        ((3, -1, 5), "multiplier b must be >= 0, got -1"),
+        ((3, -1, -5), "multiplier b must be >= 0, got -1"),
+        ((3, 1, -5), "upper index d must be >= 0, got -5"),
+    )
+    for args, message in cases:
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            fast_floor_sum_steps(*args)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            fast_floor_sum(*args)
+
+
 def test_fast_examples():
     assert fast_floor_sum(29, 23, 8) == 24
     assert fast_floor_sum(3, 5, 1) == 1

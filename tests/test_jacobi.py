@@ -1,5 +1,6 @@
 """Tests for the symbol engine and its layered oracles."""
 
+import time
 from math import gcd
 
 import pytest
@@ -102,6 +103,15 @@ def test_gauss_lemma_count_examples():
         gauss_lemma_count(2, 9)
 
 
+def test_gauss_lemma_count_refuses_past_its_budget():
+    # the count visits (p-1)/2 residues; 10**12 of them would not finish
+    for p in (10**7 + 19, 10**7 + 1, 10**12 + 39):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"p = {p} is over the budget of 10000000"):
+            gauss_lemma_count(3, p)
+        assert time.perf_counter() - t0 < 1.0
+
+
 def test_gauss_lemma_sign_matches_legendre_to_199():
     for p in range(3, 200, 2):
         if not is_prime(p):
@@ -122,6 +132,24 @@ def test_split_parity_examples():
             ge1_residual(*bad)
         with pytest.raises(ValueError):
             ge2_residual(*bad)
+
+
+@pytest.mark.parametrize("residual", [ge1_residual, ge2_residual])
+def test_split_parity_messages(residual):
+    # each argument is named when even, zero or negative, the first bad one first
+    for name, pos in (("a", 0), ("b", 1), ("c", 2)):
+        for bad in (4, 0, -3):
+            args = [3, 5, 7]
+            args[pos] = bad
+            with pytest.raises(ValueError, match=rf"^{name} must be a positive odd integer, got {bad}$"):
+                residual(*args)
+    with pytest.raises(ValueError, match=r"^a must be a positive odd integer, got 2$"):
+        residual(2, 0, -1)
+    with pytest.raises(ValueError, match=r"^b must be a positive odd integer, got 0$"):
+        residual(3, 0, -1)
+    for args in ((3, 9, 5), (3, 5, 9), (15, 3, 5)):
+        with pytest.raises(ValueError, match=rf"^b = {args[1]} and c = {args[2]} must both be coprime to a = {args[0]}$"):
+            residual(*args)
 
 
 def test_split_parity_sweep():

@@ -22,6 +22,49 @@ def _outcome(results):
     return [(r.check_id, r.cases_run, r.failures) for r in results]
 
 
+# (check_id, cases_run) of run_suites("all", GridSpec(60, 60)), the
+# benchmark's grid; a faster pass must still run every one of these cases.
+GRID60_SHAPE = [
+    ("gauss_reciprocity_sum", 928),
+    ("half_index_reciprocity", 2403),
+    ("swap_identity_all_d", 43329),
+    ("gap_count_floor_sum_bridge", 2203),
+    ("half_product_parity_identity", 2203),
+    ("gap_cardinality", 2203),
+    ("lattice_halfline_count", 2203),
+    ("lattice_reciprocity_count", 38386),
+    ("lattice_gap_deficit_count", 20508),
+    ("threshold_swap_form", 20508),
+    ("threshold_closed_form", 20508),
+    ("table1_reproduction", 14),
+    ("worked_example_29_23", 6),
+    ("eisenstein_vs_definition", 929),
+    ("jacobi_reciprocity", 929),
+    ("denominator_split_parity", 18387),
+    ("numerator_split_parity", 18387),
+    ("gauss_lemma_sign", 422),
+]
+
+
+@pytest.fixture(scope="module")
+def grid60_pass():
+    t0 = time.perf_counter()
+    results = run_suites("all", GridSpec(60, 60))
+    return results, time.perf_counter() - t0
+
+
+def test_grid60_pass_shape(grid60_pass):
+    results, _ = grid60_pass
+    assert [(r.check_id, r.cases_run) for r in results] == GRID60_SHAPE
+    assert all(r.passed for r in results)
+
+
+def test_grid60_elapsed_adds_up_to_no_more_than_the_wall_time(grid60_pass):
+    results, wall = grid60_pass
+    assert all(r.elapsed >= 0.0 for r in results)
+    assert sum(r.elapsed for r in results) <= wall
+
+
 def test_gridspec_validation():
     GridSpec(a_max=2, b_max=2)
     with pytest.raises(ValueError):
