@@ -133,7 +133,7 @@ def test_factorize_past_the_prime_table():
             continue
         numerators = [1, 3, b - 2, b + 2, 32771, 65537] + [rng.randrange(1, b) | 1 for _ in range(2)]
         for a in numerators:
-            if a > 0 and gcd(a, b) == 1:
+            if gcd(a, b) == 1:
                 assert jacobi_by_definition(a, b) == jacobi_eisenstein(a, b), (a, b)
 
 
