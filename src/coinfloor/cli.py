@@ -87,10 +87,8 @@ def _pair(args: argparse.Namespace):
 def _cmd_floorsum(args: argparse.Namespace) -> int:
     from . import floorsum
 
-    evaluate = floorsum.naive_floor_sum if args.naive else floorsum.fast_floor_sum
-    value = evaluate(args.a, args.b, args.d)
-    inputs = {"a": args.a, "b": args.b, "d": args.d, "naive": bool(args.naive)}
-    _emit(args, "floorsum", inputs, value)
+    value = floorsum.fast_floor_sum(args.a, args.b, args.d)
+    _emit(args, "floorsum", {"a": args.a, "b": args.b, "d": args.d}, value)
     return 0
 
 
@@ -253,7 +251,6 @@ def _build_parser() -> _Parser:
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--naive", action="store_true", help="use the O(d) evaluator")
     p.set_defaults(handler=_cmd_floorsum)
 
     p = sub.add_parser("frobenius", parents=[common], help="largest nonrepresentable integer a*b - a - b")

@@ -1,7 +1,6 @@
 """Exact evaluation of the floor sum S(a, b, d) = sum_{i=1}^{d} floor(i*b/a).
 
-Two evaluators are provided: a literal O(d) summation, and a logarithmic
-reducer built on the reciprocity identity
+The evaluator is a logarithmic reducer built on the reciprocity identity
 
     S(a, b, d) + S(b, a, K) = d*K,   K = floor(b*d/a),
 
@@ -35,7 +34,6 @@ from __future__ import annotations
 from math import gcd
 
 __all__ = [
-    "naive_floor_sum",
     "fast_floor_sum",
     "fast_floor_sum_steps",
     "floor_sum_affine_steps",
@@ -49,9 +47,6 @@ __all__ = [
 # this, and divides b*d by a below it (see its docstring for why here).
 _CHAIN_MIN = 1 << 128
 
-# Largest index naive_floor_sum sums term by term.
-_NAIVE_MAX_D = 10**7
-
 
 def _check_args(a: int, b: int, d: int) -> None:
     if a < 1:
@@ -60,19 +55,6 @@ def _check_args(a: int, b: int, d: int) -> None:
         raise ValueError(f"multiplier b must be >= 0, got {b}")
     if d < 0:
         raise ValueError(f"upper index d must be >= 0, got {d}")
-
-
-def naive_floor_sum(a: int, b: int, d: int) -> int:
-    """Term-by-term S(a, b, d): the O(d) oracle for the fast path.
-
-    Raises ValueError before any work when d exceeds _NAIVE_MAX_D (10**7),
-    about a second of summation.
-    """
-    _check_args(a, b, d)
-    if d > _NAIVE_MAX_D:
-        raise ValueError(f"upper index d = {d} is over the budget of {_NAIVE_MAX_D} "
-                         "terms for the term-by-term sum")
-    return sum(i * b // a for i in range(1, d + 1))
 
 
 def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:

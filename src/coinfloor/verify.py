@@ -1,21 +1,24 @@
 """Identity suite: replays every floor-sum, coin-count, and symbol identity
-over configurable parameter grids against independent routes, and reports
-mismatches as data.
+against independent routes and reports mismatches as data.
 
-Failures are collected, never raised: each check returns a CheckResult
-whose ``failures`` list holds the offending inputs with the expected and
-actual values, sorted by inputs so reports are order-independent.  A check
-with an empty failures list passed on every grid point.
+Each identity is one function over an explicit iterable of cases that
+returns its CheckResult; identities that share per-case work share one
+function with a result each.  The chains (check_equivalence_chain,
+check_lemma_chain, check_jacobi_suite) only build the cases from a
+GridSpec and compose these functions: the grid's pairs plus, for checks
+whose evaluators are sublinear, ``sample_count`` cases up to ~1e9 from a
+seeded RNG, so identical GridSpecs always produce identical outcomes.
 
-Exhaustive sweeps run over the GridSpec ranges; on top of that, checks
-whose evaluators are sublinear draw ``sample_count`` extra cases with
-parameters up to ~1e9 from a seeded RNG, so identical GridSpecs always
-produce identical outcomes.
+Failures are collected, never raised: a CheckResult's ``failures`` list
+holds each offending case's inputs with the expected and actual values,
+sorted by inputs so reports are order-independent.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from math import gcd
 from time import perf_counter
 
@@ -30,7 +33,6 @@ from .core import CoprimePair, _FrozenRecord, _Record, is_prime
 from .floorsum import (
     fast_floor_sum,
     gauss_residual,
-    naive_floor_sum,
     reciprocity_residual,
     strong_residual,
 )
@@ -60,6 +62,10 @@ __all__ = [
 
 # Upper bound for the seeded random large-parameter cases.
 _SAMPLE_MAX = 10**9
+
+# Largest max(A, B)**2 * min(A, B) of a grid, which a pass's time grows
+# with (see the README); grid 150, at the limit, takes about 15 s.
+_GRID_COST_MAX = 150**3
 
 TABLE1_PAIR = (29, 23)
 
@@ -91,7 +97,8 @@ class GridSpec(_FrozenRecord):
 
     Exhaustive pairs run over the coprime pairs in 1..a_max x 1..b_max,
     odd pairs only when odd_only is set; sample_count seeded random large
-    cases are added to the checks that can afford them.
+    cases are added to the checks that can afford them.  A grid whose
+    max(a_max, b_max)**2 * min(a_max, b_max) is over 150**3 is refused.
     """
 
     _fields = ("a_max", "b_max", "odd_only", "seed", "sample_count")
@@ -100,6 +107,10 @@ class GridSpec(_FrozenRecord):
                  seed: int = 0, sample_count: int = 200) -> None:
         if a_max < 2 or b_max < 2:
             raise ValueError(f"a_max and b_max must be >= 2, got ({a_max}, {b_max})")
+        cost = max(a_max, b_max) ** 2 * min(a_max, b_max)
+        if cost > _GRID_COST_MAX:
+            raise ValueError(f"grid ({a_max}, {b_max}) has max(A, B)**2 * min(A, B) = {cost}, "
+                             f"over the limit of 150**3 = {_GRID_COST_MAX}")
         if sample_count < 0:
             raise ValueError(f"sample_count must be >= 0, got {sample_count}")
         vars(self).update(a_max=a_max, b_max=b_max, odd_only=odd_only, seed=seed,
@@ -144,45 +155,31 @@ class CheckResult(_Record):
         }
 
 
-class _Clock:
-    """Splits the wall time of one chain among the checks that share it.
-
-    ``last`` is when the previous case of any check on the clock was
-    recorded (or when the clock was built).  Each case is charged the time
-    since then, so the charges are disjoint and add up to the chain's wall
-    time.
-    """
-
-    __slots__ = ("last",)
-
-    def __init__(self) -> None:
-        self.last = perf_counter()
-
-
 class _Recorder:
     """Accumulates cases, mismatches, and time for one named check.
 
-    A case is charged the time since the previous case of any check on the
-    same clock, so work shared by several checks is charged once, to the
-    check whose case follows it.  case() runs once per case, hundreds of
-    thousands of times a pass, so it reads the time once and updates the
-    clock in place.
+    ``clock`` is a one-item list: when the previous case of any recorder
+    sharing it was recorded, or when it was made.  A case is charged the
+    time since then, so the charges are disjoint and add up to the wall
+    time of the loop that feeds the recorders, and work shared by several
+    checks is charged once, to the check whose case follows it.  case()
+    runs hundreds of thousands of times a pass, so it reads the time once.
     """
 
     __slots__ = ("check_id", "cases", "failures", "elapsed", "_clock")
 
-    def __init__(self, check_id: str, clock: _Clock | None = None) -> None:
+    def __init__(self, check_id: str, clock: list[float] | None = None) -> None:
         self.check_id = check_id
         self.cases = 0
         self.failures: list[Failure] = []
         self.elapsed = 0.0
-        self._clock = clock or _Clock()
+        self._clock = clock or [perf_counter()]
 
     def case(self, inputs: dict[str, int], expected: object, actual: object) -> None:
         now = perf_counter()
         clock = self._clock
-        self.elapsed += now - clock.last
-        clock.last = now
+        self.elapsed += now - clock[0]
+        clock[0] = now
         self.cases += 1
         if expected != actual:
             self.failures.append(Failure(tuple(sorted(inputs.items())), expected, actual))
@@ -196,6 +193,10 @@ class _Recorder:
         )
 
 
+def _naive_floor_sum(a: int, b: int, d: int) -> int:
+    return sum(i * b // a for i in range(1, d + 1))
+
+
 def _count_by_membership(pair: CoprimePair, k: int) -> int:
     """N0(a, b; k) by the literal O(k) membership loop, independent of the
     floor-sum route of count_representable_upto."""
@@ -204,17 +205,9 @@ def _count_by_membership(pair: CoprimePair, k: int) -> int:
 
 
 def _grid_pairs(g: GridSpec) -> list[tuple[int, int]]:
-    pairs = []
-    for a in range(1, g.a_max + 1):
-        if g.odd_only and a % 2 == 0:
-            continue
-        for b in range(1, g.b_max + 1):
-            if g.odd_only and b % 2 == 0:
-                continue
-            if gcd(a, b) != 1:
-                continue
-            pairs.append((a, b))
-    return pairs
+    step = 2 if g.odd_only else 1
+    return [(a, b) for a in range(1, g.a_max + 1, step)
+            for b in range(1, g.b_max + 1, step) if gcd(a, b) == 1]
 
 
 def _sample_coprime(rng: random.Random, odd: bool = False) -> tuple[int, int]:
@@ -228,182 +221,207 @@ def _sample_coprime(rng: random.Random, odd: bool = False) -> tuple[int, int]:
             return a, b
 
 
-def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
-    """Reciprocity and gap-count identities over the grid.
+def _sample_swap(rng: random.Random) -> tuple[int, int, int]:
+    while True:
+        a = rng.randrange(3, _SAMPLE_MAX)
+        b = rng.randrange(1, a)
+        if gcd(a, b) == 1:
+            return a, b, rng.randrange(1, a)
 
-    Covers: the half-range reciprocity sum for odd pairs, the half-index
-    identity, the general swap identity across every valid d, the bridge
-    between the gap count and the two half-index floor sums, its pure
-    parity reformulation, and the gap cardinality (a-1)(b-1)/2.
-    """
-    clock = _Clock()
-    pairs = _grid_pairs(g)
-    rng = random.Random(g.seed)
 
-    rec_gauss = _Recorder("gauss_reciprocity_sum", clock)
+def _split_triples(odd_a: range, odd_b: range) -> Iterator[tuple[int, int, int]]:
+    """(a, b, c) for a in odd_a and b, c in odd_b, with b and c coprime to a."""
+    for a in odd_a:
+        coprime = [b for b in odd_b if gcd(a, b) == 1]
+        for b in coprime:
+            for c in coprime:
+                yield a, b, c
+
+
+def gauss_reciprocity_sum(pairs: Iterable[tuple[int, int]]) -> CheckResult:
+    """gauss_residual(p, q) == 0 for distinct odd coprime p, q."""
+    rec = _Recorder("gauss_reciprocity_sum")
     for a, b in pairs:
-        if a % 2 and b % 2 and a != b:
-            rec_gauss.case({"a": a, "b": b}, 0, gauss_residual(a, b))
-    for _ in range(g.sample_count):
-        a, b = _sample_coprime(rng, odd=True)
-        rec_gauss.case({"a": a, "b": b}, 0, gauss_residual(a, b))
+        rec.case({"a": a, "b": b}, 0, gauss_residual(a, b))
+    return rec.result()
 
-    rec_half = _Recorder("half_index_reciprocity", clock)
+
+def half_index_reciprocity(pairs: Iterable[tuple[int, int]]) -> CheckResult:
+    """strong_residual(a, b) == 0 for coprime a, b."""
+    rec = _Recorder("half_index_reciprocity")
     for a, b in pairs:
-        rec_half.case({"a": a, "b": b}, 0, strong_residual(a, b))
-    for _ in range(g.sample_count):
-        a, b = _sample_coprime(rng)
-        rec_half.case({"a": a, "b": b}, 0, strong_residual(a, b))
+        rec.case({"a": a, "b": b}, 0, strong_residual(a, b))
+    return rec.result()
 
-    rec_swap = _Recorder("swap_identity_all_d", clock)
-    for a, b in pairs:
-        if b < a:
-            for d in range(1, a):
-                rec_swap.case({"a": a, "b": b, "d": d}, 0, reciprocity_residual(a, b, d))
-    for _ in range(g.sample_count):
-        while True:
-            a = rng.randrange(3, _SAMPLE_MAX)
-            b = rng.randrange(1, a)
-            if gcd(a, b) == 1:
-                break
-        d = rng.randrange(1, a)
-        rec_swap.case({"a": a, "b": b, "d": d}, 0, reciprocity_residual(a, b, d))
 
+def swap_identity_all_d(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
+    """reciprocity_residual(a, b, d) == 0 for coprime b < a and 1 <= d < a."""
+    rec = _Recorder("swap_identity_all_d")
+    for a, b, d in triples:
+        rec.case({"a": a, "b": b, "d": d}, 0, reciprocity_residual(a, b, d))
+    return rec.result()
+
+
+def gap_count_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
+    """For coprime a, b: the bridge between the gap count and the two
+    half-index floor sums, its pure parity reformulation, and the gap
+    cardinality (a-1)(b-1)/2, all three off one gap mask per pair."""
+    clock = [perf_counter()]
     rec_bridge = _Recorder("gap_count_floor_sum_bridge", clock)
     rec_parity = _Recorder("half_product_parity_identity", clock)
     rec_card = _Recorder("gap_cardinality", clock)
     for a, b in pairs:
+        inputs = {"a": a, "b": b}
         # the gaps counted off the bit mask, independently of the closed form
         n_gaps = _gap_bits(a, b).bit_count()
         lhs = n_gaps + 2 * (fast_floor_sum(a, b, a // 2) + fast_floor_sum(b, a, b // 2))
         rhs = (a - 1) * (b // 2) + (b - 1) * (a // 2)
-        rec_bridge.case({"a": a, "b": b}, rhs, lhs)
+        rec_bridge.case(inputs, rhs, lhs)
         # doubled to stay integral; (a-1)(b-1) is even for coprime a, b
-        rec_parity.case(
-            {"a": a, "b": b}, 2 * rhs, (a - 1) * (b - 1) + 4 * (a // 2) * (b // 2)
+        rec_parity.case(inputs, 2 * rhs, (a - 1) * (b - 1) + 4 * (a // 2) * (b // 2))
+        rec_card.case(inputs, (a - 1) * (b - 1) // 2, n_gaps)
+    return [rec_bridge.result(), rec_parity.result(), rec_card.result()]
+
+
+def lattice_halfline_count(pairs: Iterable[tuple[int, int]]) -> CheckResult:
+    """The lattice count at b*floor(a/2) for coprime a, b, in floor-sum form."""
+    rec = _Recorder("lattice_halfline_count")
+    for a, b in pairs:
+        half = a // 2
+        rec.case(
+            {"a": a, "b": b},
+            half + 1 + fast_floor_sum(a, b, half),
+            count_lattice_3var(CoprimePair(a, b), b * half),
         )
-        rec_card.case({"a": a, "b": b}, (a - 1) * (b - 1) // 2, n_gaps)
-
-    return [
-        rec.result()
-        for rec in (rec_gauss, rec_half, rec_swap, rec_bridge, rec_parity, rec_card)
-    ]
+    return rec.result()
 
 
-def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
-    """Lattice-point counts of a*x + b*y + z = target versus their closed forms.
-
-    Covers the half-line count b*floor(a/2), the reciprocity form at
-    b*d + a*K, the same count through the gap deficit and the threshold
-    count, and the closed-form threshold family.  The lattice and threshold
-    counts under test take O(log b) floor-sum rounds each; the expected
-    threshold count N0(k) comes from the gap mask instead (k + 1 minus
-    the set bits up to k), built once per pair in O(ab) bits, so neither
-    side runs an O(k) loop.
+def lattice_threshold_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
+    """For coprime b < a and each d < a with K = floor(b*d/a) >= 1: the
+    lattice count at b*d + a*K in reciprocity form and, when 2d > a,
+    through the gap deficit; N0 in swap form; and the closed-form family
+    point against both threshold routes.  The four share S(a, b, d),
+    S(b, a, K), the lattice count and N0.  N0(k) comes from the gap mask
+    (k + 1 minus the set bits up to k), built once per pair in O(ab) bits,
+    so no side runs an O(k) loop.
     """
-    clock = _Clock()
-    rec_halfline = _Recorder("lattice_halfline_count", clock)
+    clock = [perf_counter()]
     rec_rect = _Recorder("lattice_reciprocity_count", clock)
     rec_deficit = _Recorder("lattice_gap_deficit_count", clock)
     rec_swapform = _Recorder("threshold_swap_form", clock)
     rec_family = _Recorder("threshold_closed_form", clock)
-
-    for a, b in _grid_pairs(g):
+    for a, b in pairs:
         pair = CoprimePair(a, b)
-        half = a // 2
-        rec_halfline.case(
-            {"a": a, "b": b},
-            half + 1 + fast_floor_sum(a, b, half),
-            count_lattice_3var(pair, b * half),
-        )
-        if b >= a:
-            continue
         gap_bits = _gap_bits(a, b)
         for d in range(1, a):
             K = b * d // a
             if K < 1:
                 continue
+            inputs = {"a": a, "b": b, "d": d}
             target = b * d + a * K
             s_ab = fast_floor_sum(a, b, d)
             s_ba = fast_floor_sum(b, a, K)
             lattice = count_lattice_3var(pair, target)
-            rec_rect.case(
-                {"a": a, "b": b, "d": d}, 2 * (s_ab + s_ba) + d + K + 1, lattice
-            )
+            rec_rect.case(inputs, 2 * (s_ab + s_ba) + d + K + 1, lattice)
             if 2 * d <= a:
                 continue
             k = target - a * b
             # every n in [0, k] but the gaps up to k; none when k < 0
             n0 = k + 1 - (gap_bits & ((1 << (k + 1)) - 1)).bit_count() if k >= 0 else 0
-            rec_deficit.case(
-                {"a": a, "b": b, "d": d},
-                target + 1 - (a - 1) * (b - 1) // 2 + n0,
-                lattice,
-            )
+            rec_deficit.case(inputs, target + 1 - (a - 1) * (b - 1) // 2 + n0, lattice)
             family = (2 * d - a + 1) * (2 * K - b + 1) // 2
-            rec_swapform.case(
-                {"a": a, "b": b, "d": d},
-                n0,
-                2 * (s_ab + s_ba - d * K) + family,
-            )
-            rec_family.case(
-                {"a": a, "b": b, "d": d},
-                (k, n0, n0),
-                (*best2_count(pair, d), count_representable_upto(pair, k)),
-            )
+            rec_swapform.case(inputs, n0, 2 * (s_ab + s_ba - d * K) + family)
+            rec_family.case(inputs, (k, n0, n0),
+                            (*best2_count(pair, d), count_representable_upto(pair, k)))
+    return [rec.result() for rec in (rec_rect, rec_deficit, rec_swapform, rec_family)]
 
+
+def eisenstein_vs_definition(pairs: Iterable[tuple[int, int]]) -> CheckResult:
+    """The floor-sum symbol against the factorization/Euler oracle, odd coprime pairs."""
+    rec = _Recorder("eisenstein_vs_definition")
+    for a, b in pairs:
+        rec.case({"a": a, "b": b}, jacobi_by_definition(a, b), jacobi_eisenstein(a, b))
+    return rec.result()
+
+
+def jacobi_reciprocity(pairs: Iterable[tuple[int, int]]) -> CheckResult:
+    """Quadratic reciprocity of the floor-sum symbol, odd coprime pairs."""
+    rec = _Recorder("jacobi_reciprocity")
+    for a, b in pairs:
+        rec.case({"a": a, "b": b}, True, jacobi_reciprocity_check(a, b))
+    return rec.result()
+
+
+def denominator_split_parity(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
+    """ge1_residual(a, b, c) == 0 for odd a, b, c with b and c coprime to a."""
+    rec = _Recorder("denominator_split_parity")
+    for a, b, c in triples:
+        rec.case({"a": a, "b": b, "c": c}, 0, ge1_residual(a, b, c))
+    return rec.result()
+
+
+def numerator_split_parity(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
+    """ge2_residual(a, b, c) == 0 for odd a, b, c with b and c coprime to a."""
+    rec = _Recorder("numerator_split_parity")
+    for a, b, c in triples:
+        rec.case({"a": a, "b": b, "c": c}, 0, ge2_residual(a, b, c))
+    return rec.result()
+
+
+def gauss_lemma_sign(cases: Iterable[tuple[int, int]]) -> CheckResult:
+    """Gauss's lemma against Euler's criterion, odd prime p and 1 <= a < p."""
+    rec = _Recorder("gauss_lemma_sign")
+    for a, p in cases:
+        sign = -1 if gauss_lemma_count(a, p) % 2 else 1
+        rec.case({"a": a, "p": p}, legendre_euler(a, p), sign)
+    return rec.result()
+
+
+def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
+    """Reciprocity and gap-count identities over the grid; the first three
+    also take sample_count seeded large cases each, in order from one RNG."""
+    pairs = _grid_pairs(g)
+    rng = random.Random(g.seed)
+    samples = range(g.sample_count)
     return [
-        rec.result()
-        for rec in (rec_halfline, rec_rect, rec_deficit, rec_swapform, rec_family)
+        gauss_reciprocity_sum(chain(
+            [(a, b) for a, b in pairs if a % 2 and b % 2 and a != b],
+            (_sample_coprime(rng, odd=True) for _ in samples),
+        )),
+        half_index_reciprocity(chain(pairs, (_sample_coprime(rng) for _ in samples))),
+        swap_identity_all_d(chain(
+            ((a, b, d) for a, b in pairs if b < a for d in range(1, a)),
+            (_sample_swap(rng) for _ in samples),
+        )),
+        *gap_count_checks(pairs),
+    ]
+
+
+def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
+    """Lattice-point and threshold counts versus their closed forms."""
+    pairs = _grid_pairs(g)
+    return [
+        lattice_halfline_count(pairs),
+        *lattice_threshold_checks((a, b) for a, b in pairs if b < a),
     ]
 
 
 def check_jacobi_suite(g: GridSpec) -> list[CheckResult]:
-    """Symbol engine versus its oracles over the odd coprime grid.
-
-    Covers the floor-sum symbol against the factorization/Euler oracle, the
-    two parity-splitting residuals, quadratic reciprocity, and the sign of
-    the half-range residue count for prime moduli.
-    """
+    """Symbol engine versus its oracles over the odd coprime grid; the first
+    two share the grid's pairs plus sample_count seeded large pairs."""
     rng = random.Random(g.seed)
     odd_a = range(1, g.a_max + 1, 2)
     odd_b = range(1, g.b_max + 1, 2)
-
-    clock = _Clock()
-    rec_sym = _Recorder("eisenstein_vs_definition", clock)
-    rec_recip = _Recorder("jacobi_reciprocity", clock)
-    for a in odd_a:
-        for b in odd_b:
-            if gcd(a, b) != 1:
-                continue
-            rec_sym.case({"a": a, "b": b}, jacobi_by_definition(a, b), jacobi_eisenstein(a, b))
-            rec_recip.case({"a": a, "b": b}, True, jacobi_reciprocity_check(a, b))
-    for _ in range(g.sample_count):
-        a, b = _sample_coprime(rng, odd=True)
-        rec_sym.case({"a": a, "b": b}, jacobi_by_definition(a, b), jacobi_eisenstein(a, b))
-        rec_recip.case({"a": a, "b": b}, True, jacobi_reciprocity_check(a, b))
-
-    rec_ge1 = _Recorder("denominator_split_parity", clock)
-    rec_ge2 = _Recorder("numerator_split_parity", clock)
-    for a in odd_a:
-        for b in odd_b:
-            if gcd(a, b) != 1:
-                continue
-            for c in odd_b:
-                if gcd(a, c) != 1:
-                    continue
-                rec_ge1.case({"a": a, "b": b, "c": c}, 0, ge1_residual(a, b, c))
-                rec_ge2.case({"a": a, "b": b, "c": c}, 0, ge2_residual(a, b, c))
-
-    rec_gl = _Recorder("gauss_lemma_sign", clock)
-    for p in range(3, max(g.a_max, g.b_max) + 1, 2):
-        if not is_prime(p):
-            continue
-        for a in range(1, p):
-            sign = -1 if gauss_lemma_count(a, p) % 2 else 1
-            rec_gl.case({"a": a, "p": p}, legendre_euler(a, p), sign)
-
-    return [rec.result() for rec in (rec_sym, rec_recip, rec_ge1, rec_ge2, rec_gl)]
+    pairs = [(a, b) for a in odd_a for b in odd_b if gcd(a, b) == 1]
+    pairs += [_sample_coprime(rng, odd=True) for _ in range(g.sample_count)]
+    primes = [p for p in range(3, max(g.a_max, g.b_max) + 1, 2) if is_prime(p)]
+    return [
+        eisenstein_vs_definition(pairs),
+        jacobi_reciprocity(pairs),
+        denominator_split_parity(_split_triples(odd_a, odd_b)),
+        numerator_split_parity(_split_triples(odd_a, odd_b)),
+        gauss_lemma_sign((a, p) for p in primes for a in range(1, p)),
+    ]
 
 
 def reproduce_table1() -> CheckResult:
@@ -441,9 +459,9 @@ def reproduce_section5_example() -> CheckResult:
     floor-sum threshold count against the composition 15 + 24 + 21 = 60."""
     rec = _Recorder("worked_example_29_23")
     pair = CoprimePair(29, 23)
-    rec.case({"a": 29, "b": 23, "d": 8}, 24, naive_floor_sum(29, 23, 8))
+    rec.case({"a": 29, "b": 23, "d": 8}, 24, _naive_floor_sum(29, 23, 8))
     rec.case({"a": 29, "b": 23, "d": 8}, 24, fast_floor_sum(29, 23, 8))
-    rec.case({"a": 23, "b": 4, "d": 18}, 21, naive_floor_sum(23, 4, 18))
+    rec.case({"a": 23, "b": 4, "d": 18}, 21, _naive_floor_sum(23, 4, 18))
     rec.case({"a": 23, "b": 4, "d": 18}, 21, fast_floor_sum(23, 4, 18))
     rec.case({"k": 257}, 60, _count_by_membership(pair, 257))
     rec.case(

@@ -19,36 +19,28 @@ from time import perf_counter
 
 from coinfloor import cli
 from coinfloor.coinproblem import (
-    count_representable_upto,
     nonrepresentable_set,
     representation_count,
     sylvester_sum,
     sylvester_sum_power,
 )
 from coinfloor.core import CoprimePair
-from coinfloor.floorsum import (
-    fast_floor_sum,
-    fast_floor_sum_steps,
-    gauss_residual,
-    naive_floor_sum,
-    reciprocity_residual,
-    strong_residual,
-)
-from coinfloor.jacobi import (
-    ge1_residual,
-    ge2_residual,
-    jacobi_by_definition,
-    jacobi_eisenstein,
-    jacobi_reciprocity_check,
-)
+from coinfloor.floorsum import fast_floor_sum, fast_floor_sum_steps
 from coinfloor.verify import (
     GridSpec,
     TABLE1_ROWS,
     check_lemma_chain,
+    denominator_split_parity,
+    eisenstein_vs_definition,
+    gauss_reciprocity_sum,
+    half_index_reciprocity,
+    jacobi_reciprocity,
+    numerator_split_parity,
     reproduce_section5_example,
     reproduce_table1,
+    swap_identity_all_d,
 )
-from oracle import floor_sum_iterative, naive_prefix
+from oracle import floor_sum_iterative, floor_sum_terms, naive_prefix
 
 
 def _report(number: int, label: str, elapsed: float) -> None:
@@ -77,11 +69,9 @@ def test_criterion_1_table1_reproduction(capsys):
 
 def test_criterion_2_worked_example(capsys):
     t0 = perf_counter()
-    assert naive_floor_sum(29, 23, 8) == fast_floor_sum(29, 23, 8) == 24
-    assert naive_floor_sum(23, 4, 18) == fast_floor_sum(23, 4, 18) == 21
-    assert count_representable_upto(CoprimePair(29, 23), 257) == 60
-    assert 15 + 24 + 21 == 60
-    assert reproduce_section5_example().passed
+    result = reproduce_section5_example()
+    assert result.passed, result.failures
+    assert result.cases_run == 6
     elapsed = perf_counter() - t0
     assert elapsed < 0.1
     with capsys.disabled():
@@ -90,20 +80,21 @@ def test_criterion_2_worked_example(capsys):
 
 def test_criterion_3_reciprocity_identities(capsys):
     t0 = perf_counter()
-    for p in range(1, 200, 2):  # includes composite odd values
-        for q in range(1, 200, 2):
-            if p != q and gcd(p, q) == 1:
-                assert gauss_residual(p, q) == 0, (p, q)
-    for a in range(1, 201):
-        for b in range(1, 201):
-            if gcd(a, b) == 1:
-                assert strong_residual(a, b) == 0, (a, b)
-    for a in range(2, 101):
-        for b in range(1, a):
-            if gcd(a, b) != 1:
-                continue
-            for d in range(1, a):
-                assert reciprocity_residual(a, b, d) == 0, (a, b, d)
+    odd = range(1, 200, 2)  # includes composite odd values
+    results = [
+        gauss_reciprocity_sum((p, q) for p in odd for q in odd if p != q and gcd(p, q) == 1),
+        half_index_reciprocity(
+            (a, b) for a in range(1, 201) for b in range(1, 201) if gcd(a, b) == 1
+        ),
+        swap_identity_all_d(
+            (a, b, d)
+            for a in range(2, 101) for b in range(1, a) if gcd(a, b) == 1
+            for d in range(1, a)
+        ),
+    ]
+    for r in results:
+        assert r.passed, (r.check_id, r.failures[:3])
+    assert [r.cases_run for r in results] == [8150, 24463, 200041]
     elapsed = perf_counter() - t0
     assert elapsed < 30.0
     with capsys.disabled():
@@ -133,23 +124,23 @@ def test_criterion_4_sylvester_counts_and_sums(capsys):
 
 def test_criterion_5_jacobi_engine(capsys):
     t0 = perf_counter()
-    for b in range(1, 502, 2):
-        for a in range(1, 2 * b, 2):
-            if gcd(a, b) == 1:
-                assert jacobi_eisenstein(a, b) == jacobi_by_definition(a, b), (a, b)
-    for a in range(1, 100, 2):
-        for b in range(1, 50, 2):
-            if gcd(a, b) != 1:
-                continue
-            for c in range(1, 50, 2):
-                if gcd(a, c) != 1:
-                    continue
-                assert ge1_residual(a, b, c) == 0, (a, b, c)
-                assert ge2_residual(a, b, c) == 0, (a, b, c)
-    for a in range(1, 302, 2):
-        for b in range(1, 302, 2):
-            if gcd(a, b) == 1:
-                assert jacobi_reciprocity_check(a, b), (a, b)
+    split = [
+        (a, b, c)
+        for a in range(1, 100, 2) for b in range(1, 50, 2) for c in range(1, 50, 2)
+        if gcd(a, b) == 1 and gcd(a, c) == 1
+    ]
+    odd = range(1, 302, 2)
+    results = [
+        eisenstein_vs_definition(
+            (a, b) for b in range(1, 502, 2) for a in range(1, 2 * b, 2) if gcd(a, b) == 1
+        ),
+        denominator_split_parity(split),
+        numerator_split_parity(split),
+        jacobi_reciprocity((a, b) for a in odd for b in odd if gcd(a, b) == 1),
+    ]
+    for r in results:
+        assert r.passed, (r.check_id, r.failures[:3])
+    assert [r.cases_run for r in results] == [51033, 21364, 21364, 18485]
     elapsed = perf_counter() - t0
     assert elapsed < 60.0
     with capsys.disabled():
@@ -185,7 +176,7 @@ def test_criterion_6_fast_vs_naive_floor_sums(capsys):
         a = rng.randrange(1, 10**9 + 1)
         b = rng.randrange(0, 10**9 + 1)
         d = rng.randrange(0, 20_001)
-        assert fast_floor_sum(a, b, d) == naive_floor_sum(a, b, d), (a, b, d)
+        assert fast_floor_sum(a, b, d) == floor_sum_terms(a, b, d), (a, b, d)
 
     # billion-term goldens frozen from offline literal summation
     assert fast_floor_sum(10**9 + 7, 10**9 + 6, 10**9 + 6) == 500000005500000015

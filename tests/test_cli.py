@@ -27,8 +27,14 @@ def run(capsys, *argv):
 def test_floorsum_plain(capsys):
     code, out, _ = run(capsys, "floorsum", "29", "23", "8")
     assert code == 0 and out.strip() == "24"
-    code, out, _ = run(capsys, "floorsum", "23", "4", "18", "--naive")
+    code, out, _ = run(capsys, "floorsum", "23", "4", "18")
     assert code == 0 and out.strip() == "21"
+
+
+def test_floorsum_has_no_naive_flag(capsys):
+    code, out, err = run(capsys, "floorsum", "29", "23", "8", "--naive")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --naive" in err
 
 
 def test_upto_and_negative_k(capsys):
@@ -58,7 +64,7 @@ def test_json_round_trip(capsys):
     doc = json.loads(out)
     assert set(doc) == {"command", "inputs", "result"}
     assert doc["command"] == "floorsum"
-    assert doc["inputs"] == {"a": 29, "b": 23, "d": 8, "naive": False}
+    assert doc["inputs"] == {"a": 29, "b": 23, "d": 8}
     assert doc["result"] == 24
 
 
@@ -272,12 +278,12 @@ def test_gap_sums_answer_at_once_as_a_process():
     assert elapsed < 1.0 and Fraction(out) == want
 
 
-def test_naive_floor_sum_past_its_budget_is_refused_at_once():
-    # summing 10**12 terms one by one would not finish
-    elapsed, proc = _timed_process("floorsum", "3", "1", "1000000000000", "--naive")
+def test_verify_past_its_grid_limit_is_refused_at_once():
+    # the split-parity checks alone would run about 2.5e17 cases
+    elapsed, proc = _timed_process("verify", "--grid", "2", "1000000000")
     assert elapsed < 1.0
     assert proc.returncode == 1 and proc.stdout == ""
-    assert "budget of 10000000 terms" in proc.stderr and "Traceback" not in proc.stderr
+    assert "limit of 150**3 = 3375000" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_jacobi_by_definition_past_its_budget_is_refused_at_once():

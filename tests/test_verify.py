@@ -73,6 +73,13 @@ def test_gridspec_validation():
         GridSpec(b_max=0)
     with pytest.raises(ValueError):
         GridSpec(sample_count=-1)
+    # max(A, B)**2 * min(A, B) is at most 150**3: grid 150 and thin grids
+    # up to it pass, anything past it is refused before any work
+    for a_max, b_max in ((150, 150), (2, 1299), (1299, 2), (20, 410)):
+        GridSpec(a_max, b_max)
+    for a_max, b_max in ((151, 150), (150, 151), (2, 1300), (1300, 2), (2, 10**9)):
+        with pytest.raises(ValueError, match=r"over the limit of 150\*\*3 = 3375000"):
+            GridSpec(a_max, b_max)
 
 
 def test_equivalence_chain_passes():
