@@ -385,7 +385,7 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
     samples = range(g.sample_count)
     return [
         gauss_reciprocity_sum(chain(
-            [(a, b) for a, b in pairs if a % 2 and b % 2 and a != b],
+            ((a, b) for a, b in pairs if a % 2 and b % 2 and a != b),
             (_sample_coprime(rng, odd=True) for _ in samples),
         )),
         half_index_reciprocity(chain(pairs, (_sample_coprime(rng) for _ in samples))),
