@@ -116,14 +116,9 @@ def _cmd_upto(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_row(pair, alpha: int) -> dict:
+def _cmd_best(args: argparse.Namespace) -> int:
     from . import coinproblem
 
-    point = coinproblem.best_family_point(pair, alpha)
-    return {"alpha": point.alpha, "beta": point.beta, "k": point.k, "n0": point.n0}
-
-
-def _cmd_best(args: argparse.Namespace) -> int:
     pair = _pair(args)
     columns = ["alpha", "beta", "k", "n0"]
     inputs = {"a": args.a, "b": args.b}
@@ -132,11 +127,12 @@ def _cmd_best(args: argparse.Namespace) -> int:
         if args.b >= args.a:
             raise ValueError(f"need b < a, got ({args.a}, {args.b})")
         start = 2 - args.a % 2  # smallest alpha > 0 with the parity of a
-        rows = [_family_row(pair, alpha) for alpha in range(start, args.a, 2)]
+        rows = [vars(coinproblem.best_family_point(pair, alpha))
+                for alpha in range(start, args.a, 2)]
         _emit(args, "best", dict(inputs, all=True), rows, columns)
     else:
         _emit(args, "best", dict(inputs, alpha=args.alpha),
-              [_family_row(pair, args.alpha)], columns)
+              [vars(coinproblem.best_family_point(pair, args.alpha))], columns)
     return 0
 
 
@@ -185,19 +181,9 @@ def _cmd_jacobi(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    grid = verify.GridSpec(
-        a_max=args.grid[0],
-        b_max=args.grid[1],
-        odd_only=args.odd_only,
-        seed=args.seed,
-    )
+    grid = verify.GridSpec(a_max=args.grid[0], b_max=args.grid[1], seed=args.seed)
     results = verify.run_suites(args.suite, grid)
-    inputs = {
-        "grid": list(args.grid),
-        "odd_only": args.odd_only,
-        "seed": args.seed,
-        "suite": args.suite,
-    }
+    inputs = {"grid": list(args.grid), "seed": args.seed, "suite": args.suite}
     if args.format == "plain":
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -207,16 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         rows = [r.as_row() for r in results]
         if args.format == "csv":
-            flat = [
-                {
-                    "check_id": row["check_id"],
-                    "cases_run": row["cases_run"],
-                    "failures": len(row["failures"]),
-                    "elapsed": row["elapsed"],
-                    "passed": row["passed"],
-                }
-                for row in rows
-            ]
+            flat = [dict(row, failures=len(row["failures"])) for row in rows]
             _emit(args, "verify", inputs, flat,
                   ["check_id", "cases_run", "failures", "elapsed", "passed"])
         else:
@@ -296,7 +273,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run the identity suite")
     p.add_argument("--grid", nargs=2, type=int, metavar=("A", "B"), default=[60, 60])
-    p.add_argument("--odd-only", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite", choices=["all", "frobenius", "jacobi"], default="all")
     p.set_defaults(handler=_cmd_verify)

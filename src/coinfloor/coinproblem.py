@@ -107,8 +107,6 @@ def is_representable(p: CoprimePair, n: int) -> bool:
     """True iff n = a*x + b*y for some x, y >= 0.  O(1) via the canonical solution."""
     _check_nat(n, "n")
     a, b = p.a, p.b
-    if a == 1 or b == 1:
-        return True
     x0 = n % b * p.inv_a_mod_b % b
     return a * x0 <= n
 
@@ -237,8 +235,6 @@ def nonrepresentable_set(p: CoprimePair) -> NonRepSet:
     containing a 1 have no gaps at all.
     """
     a, b = p.a, p.b
-    if a == 1 or b == 1:
-        return NonRepSet(pair=p, gaps=())
     top = a * b - a - b
     flags = bin(_gap_bits(a, b))[:1:-1].encode().translate(_BIT_FLAGS)
     gaps = tuple(_Sized(compress(range(top + 1), flags), (a - 1) * (b - 1) // 2))

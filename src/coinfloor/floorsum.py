@@ -220,16 +220,13 @@ def gauss_residual(p: int, q: int) -> int:
     """Half-range reciprocity defect for distinct odd coprime p, q.
 
     Returns S(p, q, (p-1)/2) + S(q, p, (q-1)/2) - (p-1)(q-1)/4, which is
-    zero for any odd coprime pair, prime or not.
+    zero for any odd coprime pair, prime or not.  This is strong_residual's
+    odd case: for odd p, floor(p/2) = (p-1)/2, and so (p-1)(q-1)/4 =
+    floor(p/2)*floor(q/2); strong_residual also refuses a pair that is not
+    coprime.
     """
     if p < 1 or q < 1 or p % 2 == 0 or q % 2 == 0:
         raise ValueError(f"need positive odd integers, got ({p}, {q})")
     if p == q:
         raise ValueError("p and q must be distinct")
-    if gcd(p, q) != 1:
-        raise ValueError(f"({p}, {q}) are not coprime")
-    return (
-        fast_floor_sum(p, q, (p - 1) // 2)
-        + fast_floor_sum(q, p, (q - 1) // 2)
-        - (p - 1) * (q - 1) // 4
-    )
+    return strong_residual(p, q)

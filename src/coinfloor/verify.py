@@ -95,16 +95,16 @@ TABLE1_ROWS: tuple[tuple[int, int, int], ...] = (
 class GridSpec(_FrozenRecord):
     """Parameter grid for the identity checks.
 
-    Exhaustive pairs run over the coprime pairs in 1..a_max x 1..b_max,
-    odd pairs only when odd_only is set; sample_count seeded random large
+    Exhaustive pairs run over the coprime pairs in 1..a_max x 1..b_max
+    (the Jacobi suite takes the odd ones); sample_count seeded random large
     cases are added to the checks that can afford them.  A grid whose
     max(a_max, b_max)**2 * min(a_max, b_max) is over 150**3 is refused.
     """
 
-    _fields = ("a_max", "b_max", "odd_only", "seed", "sample_count")
+    _fields = ("a_max", "b_max", "seed", "sample_count")
 
-    def __init__(self, a_max: int = 60, b_max: int = 60, odd_only: bool = False,
-                 seed: int = 0, sample_count: int = 200) -> None:
+    def __init__(self, a_max: int = 60, b_max: int = 60, seed: int = 0,
+                 sample_count: int = 200) -> None:
         if a_max < 2 or b_max < 2:
             raise ValueError(f"a_max and b_max must be >= 2, got ({a_max}, {b_max})")
         cost = max(a_max, b_max) ** 2 * min(a_max, b_max)
@@ -113,8 +113,7 @@ class GridSpec(_FrozenRecord):
                              f"over the limit of 150**3 = {_GRID_COST_MAX}")
         if sample_count < 0:
             raise ValueError(f"sample_count must be >= 0, got {sample_count}")
-        vars(self).update(a_max=a_max, b_max=b_max, odd_only=odd_only, seed=seed,
-                          sample_count=sample_count)
+        vars(self).update(a_max=a_max, b_max=b_max, seed=seed, sample_count=sample_count)
 
 
 class Failure(_FrozenRecord):
@@ -204,8 +203,7 @@ def _count_by_membership(pair: CoprimePair, k: int) -> int:
     return sum(1 for n in range(k + 1) if a * (n % b * inv % b) <= n)
 
 
-def _grid_pairs(g: GridSpec) -> list[tuple[int, int]]:
-    step = 2 if g.odd_only else 1
+def _grid_pairs(g: GridSpec, step: int = 1) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, g.a_max + 1, step)
             for b in range(1, g.b_max + 1, step) if gcd(a, b) == 1]
 
@@ -412,7 +410,7 @@ def check_jacobi_suite(g: GridSpec) -> list[CheckResult]:
     rng = random.Random(g.seed)
     odd_a = range(1, g.a_max + 1, 2)
     odd_b = range(1, g.b_max + 1, 2)
-    pairs = [(a, b) for a in odd_a for b in odd_b if gcd(a, b) == 1]
+    pairs = _grid_pairs(g, step=2)
     pairs += [_sample_coprime(rng, odd=True) for _ in range(g.sample_count)]
     primes = [p for p in range(3, max(g.a_max, g.b_max) + 1, 2) if is_prime(p)]
     return [

@@ -37,6 +37,12 @@ def test_floorsum_has_no_naive_flag(capsys):
     assert "unrecognized arguments: --naive" in err
 
 
+def test_verify_has_no_odd_only_flag(capsys):
+    code, out, err = run(capsys, "verify", "--odd-only")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --odd-only" in err
+
+
 def test_upto_and_negative_k(capsys):
     code, out, _ = run(capsys, "upto", "29", "23", "257")
     assert code == 0 and out.strip() == "60"
@@ -175,7 +181,7 @@ def test_verify_small_grid_passes(capsys):
     assert doc["command"] == "verify"
     assert all(row["passed"] for row in doc["result"])
 
-    code, out, _ = run(capsys, "verify", "--grid", "10", "10", "--odd-only",
+    code, out, _ = run(capsys, "verify", "--grid", "10", "10",
                        "--seed", "3", "--suite", "frobenius", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
