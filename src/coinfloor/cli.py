@@ -23,22 +23,16 @@ import sys
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
-    def __init__(self, parser: argparse.ArgumentParser, message: str) -> None:
-        super().__init__(message)
-        self.parser = parser
-        self.message = message
-
-
 # No option starts with a digit, so "-1/2" or "-.5" is always a value.
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad arguments; route everything through
-    # _UsageError so main() can return 1 and keep 2 for verification failures.
+    # argparse exits with code 2 on bad arguments; exit with 1 instead, so
+    # that 2 stays for verification failures.
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(self, message)
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
 
     # argparse takes only negative integers and decimals for values, so a
     # negative weight such as --weighted -1/2 0 would be read as an option.
@@ -221,43 +215,34 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=["plain", "json", "csv"], default="plain",
                         help="output format (default: plain)")
+    pair = _Parser(add_help=False, parents=[common])
+    pair.add_argument("a", type=int)
+    pair.add_argument("b", type=int)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("floorsum", parents=[common],
+    p = sub.add_parser("floorsum", parents=[pair],
                        help="evaluate S(a, b, d) = sum of floor(i*b/a) for i = 1..d")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
     p.add_argument("d", type=int)
     p.set_defaults(handler=_cmd_floorsum)
 
-    p = sub.add_parser("frobenius", parents=[common], help="largest nonrepresentable integer a*b - a - b")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("frobenius", parents=[pair], help="largest nonrepresentable integer a*b - a - b")
     p.set_defaults(handler=_cmd_frobenius)
 
-    p = sub.add_parser("count", parents=[common], help="number of solutions of a*x + b*y = n")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("count", parents=[pair], help="number of solutions of a*x + b*y = n")
     p.add_argument("n", type=int)
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("upto", parents=[common], help="representable integers in [0, k]")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("upto", parents=[pair], help="representable integers in [0, k]")
     p.add_argument("k", type=int)
     p.set_defaults(handler=_cmd_upto)
 
-    p = sub.add_parser("best", parents=[common], help="closed-form threshold counts (needs b < a)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("best", parents=[pair], help="closed-form threshold counts (needs b < a)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--alpha", type=int, help="single family point")
     group.add_argument("--all", action="store_true", help="every valid alpha")
     p.set_defaults(handler=_cmd_best)
 
-    p = sub.add_parser("gaps", parents=[common], help="nonrepresentable numbers and their sums")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("gaps", parents=[pair], help="nonrepresentable numbers and their sums")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--sum", action="store_true", help="sum of the gaps")
     group.add_argument("--power", type=int, metavar="M", help="sum of gap**M")
@@ -265,9 +250,7 @@ def _build_parser() -> _Parser:
                        help="sum of LAMBDA**(gap-1) * gap**M, exact rational")
     p.set_defaults(handler=_cmd_gaps)
 
-    p = sub.add_parser("jacobi", parents=[common], help="Jacobi symbol (a/b) for odd b")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("jacobi", parents=[pair], help="Jacobi symbol (a/b) for odd b")
     p.add_argument("--method", choices=["eisenstein", "definition"], default="eisenstein")
     p.set_defaults(handler=_cmd_jacobi)
 
@@ -302,11 +285,7 @@ def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as err:
-        err.parser.print_usage(sys.stderr)
-        print(f"error: {err.message}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help exits through argparse
+    except SystemExit as exc:  # --help and usage errors exit through argparse
         return int(exc.code or 0)
     try:
         code = args.handler(args)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import compress
 from math import comb, factorial, lcm
 
-from .core import CoprimePair, _FrozenRecord
+from .core import CoprimePair, _Record
 from .floorsum import floor_sum_affine_steps
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
     "weighted_sylvester_sum",
 ]
 
-class RepCount(_FrozenRecord):
+class RepCount(_Record):
     """Number of nonnegative solutions (x, y) of a*x + b*y = n."""
 
     _fields = ("n", "count")
@@ -57,7 +57,7 @@ class RepCount(_FrozenRecord):
         vars(self).update(n=n, count=count)
 
 
-class BestFamilyPoint(_FrozenRecord):
+class BestFamilyPoint(_Record):
     """One member of the closed-form threshold-count family.
 
     For b < a and 0 < alpha < a with alpha == a (mod 2):
@@ -75,7 +75,7 @@ class BestFamilyPoint(_FrozenRecord):
         vars(self).update(alpha=alpha, beta=beta, k=k, n0=n0)
 
 
-class NonRepSet(_FrozenRecord):
+class NonRepSet(_Record):
     """All nonrepresentable naturals (gaps) of a pair, sorted ascending."""
 
     _fields = ("pair", "gaps")

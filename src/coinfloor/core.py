@@ -5,10 +5,11 @@ coprime-pair value object used as a parameter everywhere.  gcd, modular
 inverses and modular powers come from the stdlib (math.gcd and pow).
 All functions are pure; all values are immutable after construction.
 
-The package's records derive from _Record here: plain classes whose
-__init__ fills __dict__ in field order, with a repr and value equality
-over _fields.  They stand in for dataclasses, whose import (inspect
-with it) costs each CLI process several milliseconds.
+The package's records derive from _Record here, the one immutable
+base: plain classes whose __init__ fills __dict__ in field order, with a
+repr, value equality and a value hash over _fields; a record that holds
+a list is unhashable.  They stand in for dataclasses, whose import
+(inspect with it) costs each CLI process several milliseconds.
 """
 
 from __future__ import annotations
@@ -113,10 +114,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 class _Record:
-    """Value record: repr and equality over the fields named in _fields.
+    """Immutable value record: repr, equality and hash over the fields
+    named in _fields.
 
-    Equal records have the same class and equal fields; a mutable record
-    is unhashable, as a list is.
+    Equal records have the same class and equal fields.  The hash is that
+    of the field values, so a record that holds a list is unhashable, as
+    the list is.  Assignment and deletion after __init__ are refused;
+    __init__ writes its fields through vars(self), which bypasses
+    __setattr__.
     """
 
     _fields: tuple[str, ...] = ()
@@ -133,16 +138,6 @@ class _Record:
             return self._values() == other._values()
         return NotImplemented
 
-    __hash__ = None  # type: ignore[assignment]
-
-
-class _FrozenRecord(_Record):
-    """A _Record that refuses assignment after __init__ and hashes by value.
-
-    __init__ writes its fields through vars(self), which bypasses
-    __setattr__.
-    """
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -153,7 +148,7 @@ class _FrozenRecord(_Record):
         return hash(self._values())
 
 
-class CoprimePair(_FrozenRecord):
+class CoprimePair(_Record):
     """A validated pair (a, b) of positive coprime integers.
 
     The inverse of a modulo b is computed once at construction; it backs

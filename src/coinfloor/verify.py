@@ -17,7 +17,7 @@ sorted by inputs so reports are order-independent.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from math import gcd
 from time import perf_counter
@@ -29,7 +29,7 @@ from .coinproblem import (
     count_lattice_3var,
     count_representable_upto,
 )
-from .core import CoprimePair, _FrozenRecord, _Record, is_prime
+from .core import CoprimePair, _Record, is_prime
 from .floorsum import (
     fast_floor_sum,
     gauss_residual,
@@ -92,7 +92,7 @@ TABLE1_ROWS: tuple[tuple[int, int, int], ...] = (
 )
 
 
-class GridSpec(_FrozenRecord):
+class GridSpec(_Record):
     """Parameter grid for the identity checks.
 
     Exhaustive pairs run over the coprime pairs in 1..a_max x 1..b_max
@@ -116,7 +116,7 @@ class GridSpec(_FrozenRecord):
         vars(self).update(a_max=a_max, b_max=b_max, seed=seed, sample_count=sample_count)
 
 
-class Failure(_FrozenRecord):
+class Failure(_Record):
     """One mismatching grid point: named inputs plus both sides of the check."""
 
     _fields = ("inputs", "expected", "actual")
@@ -131,10 +131,7 @@ class CheckResult(_Record):
     _fields = ("check_id", "cases_run", "failures", "elapsed")
 
     def __init__(self, check_id: str, cases_run: int, failures: list[Failure], elapsed: float) -> None:
-        self.check_id = check_id
-        self.cases_run = cases_run
-        self.failures = failures
-        self.elapsed = elapsed
+        vars(self).update(check_id=check_id, cases_run=cases_run, failures=failures, elapsed=elapsed)
 
     @property
     def passed(self) -> bool:
@@ -157,6 +154,10 @@ class CheckResult(_Record):
 class _Recorder:
     """Accumulates cases, mismatches, and time for one named check.
 
+    ``names`` names the values of each case, in order.  They are bound
+    once, here, and read only when a case mismatches, which pairs them
+    with that case's values as its Failure's inputs.
+
     ``clock`` is a one-item list: when the previous case of any recorder
     sharing it was recorded, or when it was made.  A case is charged the
     time since then, so the charges are disjoint and add up to the wall
@@ -165,23 +166,24 @@ class _Recorder:
     runs hundreds of thousands of times a pass, so it reads the time once.
     """
 
-    __slots__ = ("check_id", "cases", "failures", "elapsed", "_clock")
+    __slots__ = ("check_id", "names", "cases", "failures", "elapsed", "_clock")
 
-    def __init__(self, check_id: str, clock: list[float] | None = None) -> None:
+    def __init__(self, check_id: str, names: tuple[str, ...], clock: list[float] | None = None) -> None:
         self.check_id = check_id
+        self.names = names
         self.cases = 0
         self.failures: list[Failure] = []
         self.elapsed = 0.0
         self._clock = clock or [perf_counter()]
 
-    def case(self, inputs: dict[str, int], expected: object, actual: object) -> None:
+    def case(self, values: tuple[int, ...], expected: object, actual: object) -> None:
         now = perf_counter()
         clock = self._clock
         self.elapsed += now - clock[0]
         clock[0] = now
         self.cases += 1
         if expected != actual:
-            self.failures.append(Failure(tuple(sorted(inputs.items())), expected, actual))
+            self.failures.append(Failure(tuple(sorted(zip(self.names, values))), expected, actual))
 
     def result(self) -> CheckResult:
         return CheckResult(
@@ -190,6 +192,19 @@ class _Recorder:
             failures=sorted(self.failures, key=lambda f: f.inputs),
             elapsed=self.elapsed,
         )
+
+
+def _zero(*case: int) -> int:
+    return 0
+
+
+def _check(check_id: str, names: tuple[str, ...], cases: Iterable[tuple[int, ...]],
+           actual: Callable[..., object], expected: Callable[..., object] = _zero) -> CheckResult:
+    """One identity over its cases: actual(*case) == expected(*case) for each."""
+    rec = _Recorder(check_id, names)
+    for case in cases:
+        rec.case(case, expected(*case), actual(*case))
+    return rec.result()
 
 
 def _naive_floor_sum(a: int, b: int, d: int) -> int:
@@ -238,26 +253,17 @@ def _split_triples(odd_a: range, odd_b: range) -> Iterator[tuple[int, int, int]]
 
 def gauss_reciprocity_sum(pairs: Iterable[tuple[int, int]]) -> CheckResult:
     """gauss_residual(p, q) == 0 for distinct odd coprime p, q."""
-    rec = _Recorder("gauss_reciprocity_sum")
-    for a, b in pairs:
-        rec.case({"a": a, "b": b}, 0, gauss_residual(a, b))
-    return rec.result()
+    return _check("gauss_reciprocity_sum", ("a", "b"), pairs, gauss_residual)
 
 
 def half_index_reciprocity(pairs: Iterable[tuple[int, int]]) -> CheckResult:
     """strong_residual(a, b) == 0 for coprime a, b."""
-    rec = _Recorder("half_index_reciprocity")
-    for a, b in pairs:
-        rec.case({"a": a, "b": b}, 0, strong_residual(a, b))
-    return rec.result()
+    return _check("half_index_reciprocity", ("a", "b"), pairs, strong_residual)
 
 
 def swap_identity_all_d(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
     """reciprocity_residual(a, b, d) == 0 for coprime b < a and 1 <= d < a."""
-    rec = _Recorder("swap_identity_all_d")
-    for a, b, d in triples:
-        rec.case({"a": a, "b": b, "d": d}, 0, reciprocity_residual(a, b, d))
-    return rec.result()
+    return _check("swap_identity_all_d", ("a", "b", "d"), triples, reciprocity_residual)
 
 
 def gap_count_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
@@ -265,11 +271,11 @@ def gap_count_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
     half-index floor sums, its pure parity reformulation, and the gap
     cardinality (a-1)(b-1)/2, all three off one gap mask per pair."""
     clock = [perf_counter()]
-    rec_bridge = _Recorder("gap_count_floor_sum_bridge", clock)
-    rec_parity = _Recorder("half_product_parity_identity", clock)
-    rec_card = _Recorder("gap_cardinality", clock)
-    for a, b in pairs:
-        inputs = {"a": a, "b": b}
+    rec_bridge = _Recorder("gap_count_floor_sum_bridge", ("a", "b"), clock)
+    rec_parity = _Recorder("half_product_parity_identity", ("a", "b"), clock)
+    rec_card = _Recorder("gap_cardinality", ("a", "b"), clock)
+    for inputs in pairs:
+        a, b = inputs
         # the gaps counted off the bit mask, independently of the closed form
         n_gaps = _gap_bits(a, b).bit_count()
         lhs = n_gaps + 2 * (fast_floor_sum(a, b, a // 2) + fast_floor_sum(b, a, b // 2))
@@ -283,15 +289,11 @@ def gap_count_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
 
 def lattice_halfline_count(pairs: Iterable[tuple[int, int]]) -> CheckResult:
     """The lattice count at b*floor(a/2) for coprime a, b, in floor-sum form."""
-    rec = _Recorder("lattice_halfline_count")
-    for a, b in pairs:
-        half = a // 2
-        rec.case(
-            {"a": a, "b": b},
-            half + 1 + fast_floor_sum(a, b, half),
-            count_lattice_3var(CoprimePair(a, b), b * half),
-        )
-    return rec.result()
+    return _check(
+        "lattice_halfline_count", ("a", "b"), pairs,
+        lambda a, b: count_lattice_3var(CoprimePair(a, b), b * (a // 2)),
+        lambda a, b: a // 2 + 1 + fast_floor_sum(a, b, a // 2),
+    )
 
 
 def lattice_threshold_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
@@ -304,10 +306,11 @@ def lattice_threshold_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResu
     so no side runs an O(k) loop.
     """
     clock = [perf_counter()]
-    rec_rect = _Recorder("lattice_reciprocity_count", clock)
-    rec_deficit = _Recorder("lattice_gap_deficit_count", clock)
-    rec_swapform = _Recorder("threshold_swap_form", clock)
-    rec_family = _Recorder("threshold_closed_form", clock)
+    names = ("a", "b", "d")
+    rec_rect = _Recorder("lattice_reciprocity_count", names, clock)
+    rec_deficit = _Recorder("lattice_gap_deficit_count", names, clock)
+    rec_swapform = _Recorder("threshold_swap_form", names, clock)
+    rec_family = _Recorder("threshold_closed_form", names, clock)
     for a, b in pairs:
         pair = CoprimePair(a, b)
         gap_bits = _gap_bits(a, b)
@@ -315,7 +318,7 @@ def lattice_threshold_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResu
             K = b * d // a
             if K < 1:
                 continue
-            inputs = {"a": a, "b": b, "d": d}
+            inputs = (a, b, d)
             target = b * d + a * K
             s_ab = fast_floor_sum(a, b, d)
             s_ba = fast_floor_sum(b, a, K)
@@ -336,43 +339,28 @@ def lattice_threshold_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResu
 
 def eisenstein_vs_definition(pairs: Iterable[tuple[int, int]]) -> CheckResult:
     """The floor-sum symbol against the factorization/Euler oracle, odd coprime pairs."""
-    rec = _Recorder("eisenstein_vs_definition")
-    for a, b in pairs:
-        rec.case({"a": a, "b": b}, jacobi_by_definition(a, b), jacobi_eisenstein(a, b))
-    return rec.result()
+    return _check("eisenstein_vs_definition", ("a", "b"), pairs, jacobi_eisenstein, jacobi_by_definition)
 
 
 def jacobi_reciprocity(pairs: Iterable[tuple[int, int]]) -> CheckResult:
     """Quadratic reciprocity of the floor-sum symbol, odd coprime pairs."""
-    rec = _Recorder("jacobi_reciprocity")
-    for a, b in pairs:
-        rec.case({"a": a, "b": b}, True, jacobi_reciprocity_check(a, b))
-    return rec.result()
+    return _check("jacobi_reciprocity", ("a", "b"), pairs, jacobi_reciprocity_check, lambda a, b: True)
 
 
 def denominator_split_parity(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
     """ge1_residual(a, b, c) == 0 for odd a, b, c with b and c coprime to a."""
-    rec = _Recorder("denominator_split_parity")
-    for a, b, c in triples:
-        rec.case({"a": a, "b": b, "c": c}, 0, ge1_residual(a, b, c))
-    return rec.result()
+    return _check("denominator_split_parity", ("a", "b", "c"), triples, ge1_residual)
 
 
 def numerator_split_parity(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
     """ge2_residual(a, b, c) == 0 for odd a, b, c with b and c coprime to a."""
-    rec = _Recorder("numerator_split_parity")
-    for a, b, c in triples:
-        rec.case({"a": a, "b": b, "c": c}, 0, ge2_residual(a, b, c))
-    return rec.result()
+    return _check("numerator_split_parity", ("a", "b", "c"), triples, ge2_residual)
 
 
 def gauss_lemma_sign(cases: Iterable[tuple[int, int]]) -> CheckResult:
     """Gauss's lemma against Euler's criterion, odd prime p and 1 <= a < p."""
-    rec = _Recorder("gauss_lemma_sign")
-    for a, p in cases:
-        sign = -1 if gauss_lemma_count(a, p) % 2 else 1
-        rec.case({"a": a, "p": p}, legendre_euler(a, p), sign)
-    return rec.result()
+    return _check("gauss_lemma_sign", ("a", "p"), cases,
+                  lambda a, p: -1 if gauss_lemma_count(a, p) % 2 else 1, legendre_euler)
 
 
 def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
@@ -430,7 +418,7 @@ def reproduce_table1() -> CheckResult:
     Negative thresholds carry no countable range and are compared by sign
     (see TABLE1_ROWS).
     """
-    rec = _Recorder("table1_reproduction")
+    rec = _Recorder("table1_reproduction", ("alpha",))
     pair = CoprimePair(*TABLE1_PAIR)
 
     def norm(k: int) -> object:
@@ -439,7 +427,7 @@ def reproduce_table1() -> CheckResult:
     for alpha, k_ref, n0_ref in TABLE1_ROWS:
         point = best_family_point(pair, alpha)
         rec.case(
-            {"alpha": alpha},
+            (alpha,),
             (norm(k_ref), n0_ref, n0_ref, n0_ref),
             (
                 norm(point.k),
@@ -455,15 +443,16 @@ def reproduce_section5_example() -> CheckResult:
     """The worked example at (29, 23): two floor sums evaluated both ways,
     the threshold count at 257 by the literal membership loop, and the
     floor-sum threshold count against the composition 15 + 24 + 21 = 60."""
-    rec = _Recorder("worked_example_29_23")
+    rec = _Recorder("worked_example_29_23", ("a", "b", "d"))
     pair = CoprimePair(29, 23)
-    rec.case({"a": 29, "b": 23, "d": 8}, 24, _naive_floor_sum(29, 23, 8))
-    rec.case({"a": 29, "b": 23, "d": 8}, 24, fast_floor_sum(29, 23, 8))
-    rec.case({"a": 23, "b": 4, "d": 18}, 21, _naive_floor_sum(23, 4, 18))
-    rec.case({"a": 23, "b": 4, "d": 18}, 21, fast_floor_sum(23, 4, 18))
-    rec.case({"k": 257}, 60, _count_by_membership(pair, 257))
+    rec.case((29, 23, 8), 24, _naive_floor_sum(29, 23, 8))
+    rec.case((29, 23, 8), 24, fast_floor_sum(29, 23, 8))
+    rec.case((23, 4, 18), 21, _naive_floor_sum(23, 4, 18))
+    rec.case((23, 4, 18), 21, fast_floor_sum(23, 4, 18))
+    rec.names = ("k",)
+    rec.case((257,), 60, _count_by_membership(pair, 257))
     rec.case(
-        {"k": 257},
+        (257,),
         count_representable_upto(pair, 257),
         15 + fast_floor_sum(29, 23, 8) + fast_floor_sum(23, 4, 18),
     )

@@ -218,6 +218,16 @@ def test_unknown_command_exit_1_with_usage(capsys):
     assert "usage:" in err
 
 
+def test_usage_error_prints_the_usage_of_the_parser_that_failed(capsys):
+    code, out, err = run(capsys, "floorsum", "29", "23")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: coinfloor floorsum")
+    assert err.endswith("error: the following arguments are required: d\n")
+    code, out, err = run(capsys, "nosuch")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: coinfloor ") and not err.startswith("usage: coinfloor nosuch")
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "gaps", "--help")[0] == 0

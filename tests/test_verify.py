@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from coinfloor import verify
 from coinfloor.verify import (
     CheckResult,
     GridSpec,
@@ -11,6 +12,8 @@ from coinfloor.verify import (
     check_equivalence_chain,
     check_jacobi_suite,
     check_lemma_chain,
+    half_index_reciprocity,
+    lattice_threshold_checks,
     reproduce_section5_example,
     reproduce_table1,
     run_suites,
@@ -185,10 +188,10 @@ def test_suite_selection():
 
 
 def test_recorder_failure_reporting():
-    rec = _Recorder("demo")
-    rec.case({"a": 2, "b": 1}, 0, 0)
-    rec.case({"a": 1, "b": 9}, 0, 5)
-    rec.case({"a": 1, "b": 3}, 0, 7)
+    rec = _Recorder("demo", ("a", "b"))
+    rec.case((2, 1), 0, 0)
+    rec.case((1, 9), 0, 5)
+    rec.case((1, 3), 0, 7)
     result = rec.result()
     assert isinstance(result, CheckResult)
     assert not result.passed
@@ -200,3 +203,23 @@ def test_recorder_failure_reporting():
     assert row["passed"] is False
     assert row["cases_run"] == 3
     assert row["failures"][0]["inputs"] == {"a": 1, "b": 3}
+
+
+def test_failure_inputs_name_each_value(monkeypatch):
+    # a one-loop check, a check on a shared clock, and section 5, whose
+    # last two cases rename their single value
+    monkeypatch.setattr(verify, "strong_residual", lambda a, b: 1)
+    (failure,) = half_index_reciprocity([(3, 5)]).failures
+    assert failure.inputs == (("a", 3), ("b", 5))
+    assert (failure.expected, failure.actual) == (0, 1)
+
+    monkeypatch.setattr(verify, "count_lattice_3var", lambda pair, k: -1)
+    results = lattice_threshold_checks([(5, 3)])
+    failures = [f for r in results for f in r.failures]
+    assert failures and {tuple(name for name, _ in f.inputs) for f in failures} == {("a", "b", "d")}
+    assert {dict(f.inputs)["d"] for f in results[0].failures} == {2, 3, 4}
+
+    monkeypatch.setattr(verify, "_count_by_membership", lambda pair, k: -1)
+    (failure,) = reproduce_section5_example().failures
+    assert failure.inputs == (("k", 257),)
+    assert (failure.expected, failure.actual) == (60, -1)
