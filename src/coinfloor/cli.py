@@ -110,6 +110,10 @@ def _cmd_upto(args: argparse.Namespace) -> int:
     return 0
 
 
+# Most rows best --all prints: about 0.6 s and 55 MB at the limit (see the README).
+_BEST_ROWS_MAX = 10**5
+
+
 def _cmd_best(args: argparse.Namespace) -> int:
     from . import coinproblem
 
@@ -120,9 +124,11 @@ def _cmd_best(args: argparse.Namespace) -> int:
         # the range below is empty when b >= a, so check what --alpha would
         if args.b >= args.a:
             raise ValueError(f"need b < a, got ({args.a}, {args.b})")
-        start = 2 - args.a % 2  # smallest alpha > 0 with the parity of a
-        rows = [vars(coinproblem.best_family_point(pair, alpha))
-                for alpha in range(start, args.a, 2)]
+        alphas = range(2 - args.a % 2, args.a, 2)  # from the smallest alpha > 0 with a's parity
+        if len(alphas) > _BEST_ROWS_MAX:
+            raise ValueError(f"--all would print {len(alphas)} rows, over the limit of "
+                             f"{_BEST_ROWS_MAX}; --alpha gives one row")
+        rows = [vars(coinproblem.best_family_point(pair, alpha)) for alpha in alphas]
         _emit(args, "best", dict(inputs, all=True), rows, columns)
     else:
         _emit(args, "best", dict(inputs, alpha=args.alpha),

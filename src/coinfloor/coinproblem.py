@@ -228,16 +228,26 @@ class _Sized:
         return self._hint
 
 
+# Most gaps nonrepresentable_set lists: at the limit the listing takes about
+# 0.1 s and 45 MB (see the README).
+_GAPS_MAX = 10**6
+
+
 def nonrepresentable_set(p: CoprimePair) -> NonRepSet:
     """Enumerate every gap of (a, b).
 
     There are (a-1)(b-1)/2 of them and the largest is a*b - a - b; pairs
-    containing a 1 have no gaps at all.
+    containing a 1 have no gaps at all.  A pair with more than _GAPS_MAX
+    (10**6) gaps raises ValueError before any work.
     """
     a, b = p.a, p.b
+    count = (a - 1) * (b - 1) // 2
+    if count > _GAPS_MAX:
+        raise ValueError(f"({a}, {b}) has {count} gaps, over the listing limit of "
+                         f"{_GAPS_MAX}; sylvester_sum_power gives their count and power sums")
     top = a * b - a - b
     flags = bin(_gap_bits(a, b))[:1:-1].encode().translate(_BIT_FLAGS)
-    gaps = tuple(_Sized(compress(range(top + 1), flags), (a - 1) * (b - 1) // 2))
+    gaps = tuple(_Sized(compress(range(top + 1), flags), count))
     return NonRepSet(pair=p, gaps=gaps)
 
 
@@ -332,7 +342,8 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
     lam = 1 reduces to sylvester_sum_power.  lam must be nonzero; since 0
     is always representable, no gap raises lam to a negative power.  The
     series takes O(m^2) products and the listing O(ab) terms; the listing
-    runs only when the (a-1)(b-1)/2 gaps are no more than m^2.  For
+    runs only when the (a-1)(b-1)/2 gaps are no more than m^2 (and than the
+    listing limit).  For
     lam = p/q != +-1 the result itself has about (ab - a - b) *
     max(bits(p), bits(q)) bits; past _WEIGHTED_BITS_BUDGET (2**18) the call
     raises ValueError before any work.
@@ -353,7 +364,7 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
         if size > _WEIGHTED_BITS_BUDGET:
             raise ValueError(f"weighted gap sum would have about {size} bits, "
                              f"over the budget of {_WEIGHTED_BITS_BUDGET} bits")
-    if (a - 1) * (b - 1) // 2 > m * m:
+    if (a - 1) * (b - 1) // 2 > min(m * m, _GAPS_MAX):
         return fractions.Fraction(*_series_moment(a, b, num, den, m))
     top = a * b - a - b
     gaps = nonrepresentable_set(p).gaps

@@ -9,6 +9,14 @@ GridSpec and compose these functions: the grid's pairs plus, for checks
 whose evaluators are sublinear, ``sample_count`` cases up to ~1e9 from a
 seeded RNG, so identical GridSpecs always produce identical outcomes.
 
+The chains follow the paper.  The equivalence chain checks Gauss's
+half-index reciprocity and its equivalence with Sylvester's gap count.
+The lemma chain checks the generalization: the all-d reciprocity
+S(a, b, d) + S(b, a, K) = d*K with K = floor(b*d/a), then the lattice and
+threshold counts built on it, which read S(a, b, d) + S(b, a, K) off the
+same residual, so each (a, b, d) costs two reducer calls.  The Jacobi
+suite checks the symbol engine against its oracles.
+
 Failures are collected, never raised: a CheckResult's ``failures`` list
 holds each offending case's inputs with the expected and actual values,
 sorted by inputs so reports are order-independent.
@@ -262,8 +270,9 @@ def half_index_reciprocity(pairs: Iterable[tuple[int, int]]) -> CheckResult:
 
 
 def swap_identity_all_d(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
-    """reciprocity_residual(a, b, d) == 0 for coprime b < a and 1 <= d < a."""
-    return _check("swap_identity_all_d", ("a", "b", "d"), triples, reciprocity_residual)
+    """reciprocity_residual(a, b, d) == 0 for coprime b < a and 1 <= d < a:
+    the first check of lattice_threshold_checks, over the given triples."""
+    return lattice_threshold_checks((), triples)[0]
 
 
 def gap_count_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
@@ -296,17 +305,24 @@ def lattice_halfline_count(pairs: Iterable[tuple[int, int]]) -> CheckResult:
     )
 
 
-def lattice_threshold_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
-    """For coprime b < a and each d < a with K = floor(b*d/a) >= 1: the
-    lattice count at b*d + a*K in reciprocity form and, when 2d > a,
-    through the gap deficit; N0 in swap form; and the closed-form family
-    point against both threshold routes.  The four share S(a, b, d),
-    S(b, a, K), the lattice count and N0.  N0(k) comes from the gap mask
-    (k + 1 minus the set bits up to k), built once per pair in O(ab) bits,
-    so no side runs an O(k) loop.
+def lattice_threshold_checks(pairs: Iterable[tuple[int, int]],
+                             samples: Iterable[tuple[int, int, int]] = ()) -> list[CheckResult]:
+    """The paper's all-d reciprocity and the counts built on it.  For
+    coprime b < a and each 1 <= d < a: reciprocity_residual(a, b, d) == 0;
+    then, where K = floor(b*d/a) >= 1, the lattice count at b*d + a*K in
+    reciprocity form and, when 2d > a, through the gap deficit; N0 in swap
+    form; and the closed-form family point against both threshold routes.
+
+    The residual is evaluated once per (a, b, d), and the counts read
+    S(a, b, d) + S(b, a, K) off it as d*K + residual, so a reducer fault
+    shows in the reciprocity check and in both counts that use the sum.
+    ``samples`` are further (a, b, d) triples for the reciprocity alone.
+    N0(k) comes from the gap mask (k + 1 minus the set bits up to k), built
+    once per pair in O(ab) bits, so no side runs an O(k) loop.
     """
     clock = [perf_counter()]
     names = ("a", "b", "d")
+    rec_swap = _Recorder("swap_identity_all_d", names, clock)
     rec_rect = _Recorder("lattice_reciprocity_count", names, clock)
     rec_deficit = _Recorder("lattice_gap_deficit_count", names, clock)
     rec_swapform = _Recorder("threshold_swap_form", names, clock)
@@ -315,15 +331,15 @@ def lattice_threshold_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResu
         pair = CoprimePair(a, b)
         gap_bits = _gap_bits(a, b)
         for d in range(1, a):
+            inputs = (a, b, d)
+            residual = reciprocity_residual(a, b, d)
+            rec_swap.case(inputs, 0, residual)
             K = b * d // a
             if K < 1:
                 continue
-            inputs = (a, b, d)
             target = b * d + a * K
-            s_ab = fast_floor_sum(a, b, d)
-            s_ba = fast_floor_sum(b, a, K)
             lattice = count_lattice_3var(pair, target)
-            rec_rect.case(inputs, 2 * (s_ab + s_ba) + d + K + 1, lattice)
+            rec_rect.case(inputs, 2 * (d * K + residual) + d + K + 1, lattice)
             if 2 * d <= a:
                 continue
             k = target - a * b
@@ -331,10 +347,12 @@ def lattice_threshold_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResu
             n0 = k + 1 - (gap_bits & ((1 << (k + 1)) - 1)).bit_count() if k >= 0 else 0
             rec_deficit.case(inputs, target + 1 - (a - 1) * (b - 1) // 2 + n0, lattice)
             family = (2 * d - a + 1) * (2 * K - b + 1) // 2
-            rec_swapform.case(inputs, n0, 2 * (s_ab + s_ba - d * K) + family)
+            rec_swapform.case(inputs, n0, 2 * residual + family)
             rec_family.case(inputs, (k, n0, n0),
                             (*best2_count(pair, d), count_representable_upto(pair, k)))
-    return [rec.result() for rec in (rec_rect, rec_deficit, rec_swapform, rec_family)]
+    for inputs in samples:
+        rec_swap.case(inputs, 0, reciprocity_residual(*inputs))
+    return [rec.result() for rec in (rec_swap, rec_rect, rec_deficit, rec_swapform, rec_family)]
 
 
 def eisenstein_vs_definition(pairs: Iterable[tuple[int, int]]) -> CheckResult:
@@ -363,32 +381,39 @@ def gauss_lemma_sign(cases: Iterable[tuple[int, int]]) -> CheckResult:
                   lambda a, p: -1 if gauss_lemma_count(a, p) % 2 else 1, legendre_euler)
 
 
-def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
-    """Reciprocity and gap-count identities over the grid; the first three
-    also take sample_count seeded large cases each, in order from one RNG."""
-    pairs = _grid_pairs(g)
+def _samples(g: GridSpec) -> tuple[list[tuple[int, ...]], ...]:
+    """The seeded large cases of gauss_reciprocity_sum, half_index_reciprocity
+    and swap_identity_all_d, sample_count each, drawn in that order from one
+    RNG, so that either chain gets the same cases when it runs alone."""
     rng = random.Random(g.seed)
     samples = range(g.sample_count)
+    return ([_sample_coprime(rng, odd=True) for _ in samples],
+            [_sample_coprime(rng) for _ in samples],
+            [_sample_swap(rng) for _ in samples])
+
+
+def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
+    """Gauss's half-index reciprocity and its equivalence with Sylvester's
+    gap count over the grid; the first two also take sample_count seeded
+    large cases each."""
+    pairs = _grid_pairs(g)
+    gauss, half, _ = _samples(g)
     return [
-        gauss_reciprocity_sum(chain(
-            ((a, b) for a, b in pairs if a % 2 and b % 2 and a != b),
-            (_sample_coprime(rng, odd=True) for _ in samples),
-        )),
-        half_index_reciprocity(chain(pairs, (_sample_coprime(rng) for _ in samples))),
-        swap_identity_all_d(chain(
-            ((a, b, d) for a, b in pairs if b < a for d in range(1, a)),
-            (_sample_swap(rng) for _ in samples),
-        )),
+        gauss_reciprocity_sum(chain(((a, b) for a, b in pairs if a % 2 and b % 2 and a != b), gauss)),
+        half_index_reciprocity(chain(pairs, half)),
         *gap_count_checks(pairs),
     ]
 
 
 def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
-    """Lattice-point and threshold counts versus their closed forms."""
+    """The lattice count at the half line, then the paper's generalization
+    end to end: the all-d reciprocity over the grid's (a, b, d) with b < a
+    plus sample_count seeded large triples, and the lattice and threshold
+    counts built on it."""
     pairs = _grid_pairs(g)
     return [
         lattice_halfline_count(pairs),
-        *lattice_threshold_checks((a, b) for a, b in pairs if b < a),
+        *lattice_threshold_checks(((a, b) for a, b in pairs if b < a), _samples(g)[2]),
     ]
 
 

@@ -193,6 +193,7 @@ def test_criterion_7_lemma_chain(capsys):
     results = check_lemma_chain(GridSpec(a_max=40, b_max=40))
     assert {r.check_id for r in results} == {
         "lattice_halfline_count",
+        "swap_identity_all_d",
         "lattice_reciprocity_count",
         "lattice_gap_deficit_count",
         "threshold_swap_form",

@@ -109,6 +109,18 @@ def test_best_all_rejects_b_not_below_a(capsys):
     assert code == 0 and out == "" and err == ""
 
 
+def test_best_all_row_limit(capsys, monkeypatch):
+    # 100 001 rows is one past the limit; a row costs about 5 us to print
+    code, out, err = run(capsys, "best", "200003", "3", "--all")
+    assert code == 1 and out == ""
+    assert "100001 rows, over the limit of 100000" in err
+    monkeypatch.setattr(cli, "_BEST_ROWS_MAX", 3)
+    code, out, err = run(capsys, "best", "7", "2", "--all")  # alpha = 1, 3, 5
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out, err = run(capsys, "best", "9", "2", "--all")
+    assert code == 1 and out == "" and "4 rows, over the limit of 3" in err
+
+
 def test_gaps_variants(capsys):
     code, out, _ = run(capsys, "gaps", "3", "5")
     assert code == 0 and out.split() == ["1", "2", "4", "7"]
@@ -316,3 +328,15 @@ def test_weighted_sum_past_the_output_budget_is_refused_at_once():
     assert elapsed < 1.0
     assert proc.returncode == 1 and proc.stdout == ""
     assert "budget of 262144 bits" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_listings_past_their_limits_are_refused_at_once():
+    # 4.5e8 gaps and 5e6 rows: neither command finished in 10 s unlimited
+    elapsed, proc = _timed_process("gaps", "30011", "30013")
+    assert elapsed < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "listing limit of 1000000" in proc.stderr and "Traceback" not in proc.stderr
+    elapsed, proc = _timed_process("best", "10000001", "3", "--all")
+    assert elapsed < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "over the limit of 100000" in proc.stderr and "Traceback" not in proc.stderr

@@ -262,6 +262,19 @@ def test_nonrepresentable_set_degenerate_pairs():
         assert weighted_sylvester_sum(pair, Fraction(1, 2), 1) == 0
 
 
+def test_gap_listing_limit():
+    # the gaps of (2, 2k+1) are the odd n < 2k: 10**6 of them is the most
+    # the listing allows; one more is refused before the mask is built
+    gaps = nonrepresentable_set(CoprimePair(2, 2 * 10**6 + 1)).gaps
+    assert len(gaps) == 10**6 and gaps[-1] == 2 * 10**6 - 1
+    for pair in ((2, 2 * 10**6 + 3), (1415, 1417), (30011, 30013), (10**100 + 1, 10**100 + 2)):
+        with pytest.raises(ValueError, match="over the listing limit of 1000000"):
+            nonrepresentable_set(CoprimePair(*pair))
+    # the gap sums take the series past the limit, whatever m
+    pair = CoprimePair(30011, 30013)
+    assert sylvester_sum_power(pair, 1) == sylvester_sum(pair)
+
+
 def test_nonrepresentable_set_vs_brute_force():
     for a in range(2, 21):
         for b in range(2, 21):

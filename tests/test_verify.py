@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from coinfloor import verify
+from coinfloor import floorsum, verify
 from coinfloor.verify import (
     CheckResult,
     GridSpec,
@@ -30,11 +30,11 @@ def _outcome(results):
 GRID60_SHAPE = [
     ("gauss_reciprocity_sum", 928),
     ("half_index_reciprocity", 2403),
-    ("swap_identity_all_d", 43329),
     ("gap_count_floor_sum_bridge", 2203),
     ("half_product_parity_identity", 2203),
     ("gap_cardinality", 2203),
     ("lattice_halfline_count", 2203),
+    ("swap_identity_all_d", 43329),
     ("lattice_reciprocity_count", 38386),
     ("lattice_gap_deficit_count", 20508),
     ("threshold_swap_form", 20508),
@@ -91,7 +91,6 @@ def test_equivalence_chain_passes():
     assert [r.check_id for r in results] == [
         "gauss_reciprocity_sum",
         "half_index_reciprocity",
-        "swap_identity_all_d",
         "gap_count_floor_sum_bridge",
         "half_product_parity_identity",
         "gap_cardinality",
@@ -112,6 +111,7 @@ def test_lemma_chain_passes():
     results = check_lemma_chain(GridSpec(a_max=25, b_max=25, sample_count=0))
     assert [r.check_id for r in results] == [
         "lattice_halfline_count",
+        "swap_identity_all_d",
         "lattice_reciprocity_count",
         "lattice_gap_deficit_count",
         "threshold_swap_form",
@@ -217,9 +217,63 @@ def test_failure_inputs_name_each_value(monkeypatch):
     results = lattice_threshold_checks([(5, 3)])
     failures = [f for r in results for f in r.failures]
     assert failures and {tuple(name for name, _ in f.inputs) for f in failures} == {("a", "b", "d")}
-    assert {dict(f.inputs)["d"] for f in results[0].failures} == {2, 3, 4}
+    by_id = {r.check_id: r for r in results}
+    assert not by_id["swap_identity_all_d"].failures
+    assert {dict(f.inputs)["d"] for f in by_id["lattice_reciprocity_count"].failures} == {2, 3, 4}
 
     monkeypatch.setattr(verify, "_count_by_membership", lambda pair, k: -1)
     (failure,) = reproduce_section5_example().failures
     assert failure.inputs == (("k", 257),)
     assert (failure.expected, failure.actual) == (60, -1)
+
+
+def test_a_reducer_fault_reaches_every_check_that_reads_it(monkeypatch):
+    # reciprocity_residual looks fast_floor_sum up in floorsum; the lattice
+    # and threshold checks read S(7, 3, 5) + S(3, 7, 2) off that residual
+    fast_floor_sum = floorsum.fast_floor_sum
+    monkeypatch.setattr(floorsum, "fast_floor_sum",
+                        lambda a, b, d: fast_floor_sum(a, b, d) + ((a, b, d) == (7, 3, 5)))
+    results = run_suites("all", GridSpec(8, 8, sample_count=5))
+    failing = {r.check_id: [f.inputs for f in r.failures] for r in results if r.failures}
+    fault = [(("a", 7), ("b", 3), ("d", 5))]
+    assert failing == {
+        "swap_identity_all_d": fault,
+        "lattice_reciprocity_count": fault,
+        "threshold_swap_form": fault,  # K = 2 and 2d > a
+    }
+
+
+# The seeded large cases of GridSpec(5, 5, seed=3, sample_count=4), as the
+# suite drew them when all three checks ran in the equivalence chain; each
+# chain draws them from one RNG in this order, whichever chain runs.
+SAMPLES_5_5_SEED3 = {
+    "gauss_reciprocity_sum": [
+        (255512577, 636343333), (584361683, 140040411), (397236331, 983488255), (671862059, 623685185),
+    ],
+    "half_index_reciprocity": [
+        (70361079, 650257552), (899225579, 503834391), (924515449, 161723154), (994108270, 561761549),
+    ],
+    "swap_identity_all_d": [
+        (16263687, 11264416, 13039835), (68753239, 21394298, 5743047),
+        (884302099, 289300052, 507610470), (766790693, 458417847, 424088725),
+    ],
+}
+
+
+def test_seeded_samples_are_the_same_cases_in_either_chain(monkeypatch):
+    seen = {}
+    case = _Recorder.case
+
+    def record(self, values, expected, actual):
+        seen.setdefault(self.check_id, []).append(values)
+        case(self, values, expected, actual)
+
+    monkeypatch.setattr(_Recorder, "case", record)
+    grid = GridSpec(5, 5, seed=3, sample_count=4)
+    for chain in (check_lemma_chain, check_equivalence_chain):
+        seen.clear()
+        assert all(r.passed for r in chain(grid))
+        # the samples follow the grid's cases in each check
+        got = {check_id: values[-4:] for check_id, values in seen.items() if check_id in SAMPLES_5_5_SEED3}
+        want = {check_id: SAMPLES_5_5_SEED3[check_id] for check_id in got}
+        assert got == want and got
