@@ -342,11 +342,10 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
     lam = 1 reduces to sylvester_sum_power.  lam must be nonzero; since 0
     is always representable, no gap raises lam to a negative power.  The
     series takes O(m^2) products and the listing O(ab) terms; the listing
-    runs only when the (a-1)(b-1)/2 gaps are no more than m^2 (and than the
-    listing limit).  For
-    lam = p/q != +-1 the result itself has about (ab - a - b) *
-    max(bits(p), bits(q)) bits; past _WEIGHTED_BITS_BUDGET (2**18) the call
-    raises ValueError before any work.
+    runs only when the (a-1)(b-1)/2 gaps are no more than m^2 and the
+    listing limit.  For lam = p/q != +-1 the result itself has about
+    (ab - a - b) * max(bits(p), bits(q)) bits; past _WEIGHTED_BITS_BUDGET
+    (2**18) the call raises ValueError before any work.
     """
     import fractions  # here, not at module level: it loads decimal
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from coinfloor import coinproblem
 from coinfloor.coinproblem import (
     _series_moment,
     BestFamilyPoint,
@@ -262,7 +263,7 @@ def test_nonrepresentable_set_degenerate_pairs():
         assert weighted_sylvester_sum(pair, Fraction(1, 2), 1) == 0
 
 
-def test_gap_listing_limit():
+def test_gap_listing_limit(monkeypatch):
     # the gaps of (2, 2k+1) are the odd n < 2k: 10**6 of them is the most
     # the listing allows; one more is refused before the mask is built
     gaps = nonrepresentable_set(CoprimePair(2, 2 * 10**6 + 1)).gaps
@@ -270,9 +271,13 @@ def test_gap_listing_limit():
     for pair in ((2, 2 * 10**6 + 3), (1415, 1417), (30011, 30013), (10**100 + 1, 10**100 + 2)):
         with pytest.raises(ValueError, match="over the listing limit of 1000000"):
             nonrepresentable_set(CoprimePair(*pair))
-    # the gap sums take the series past the limit, whatever m
-    pair = CoprimePair(30011, 30013)
-    assert sylvester_sum_power(pair, 1) == sylvester_sum(pair)
+    # past the limit the gap sums take the series, even where m**2 would list
+    monkeypatch.setattr(coinproblem, "_GAPS_MAX", 3)
+    pair = CoprimePair(3, 5)  # gaps 1, 2, 4, 7
+    with pytest.raises(ValueError, match="over the listing limit of 3"):
+        nonrepresentable_set(pair)
+    assert weighted_sylvester_sum(pair, Fraction(1, 2), 5) == sum(
+        Fraction(1, 2) ** (n - 1) * n**5 for n in (1, 2, 4, 7))
 
 
 def test_nonrepresentable_set_vs_brute_force():
