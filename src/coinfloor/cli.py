@@ -161,12 +161,37 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
         value = coinproblem.weighted_sylvester_sum(pair, lam, m)
         _emit(args, "gaps", dict(inputs, weighted=str(lam), power=m), str(value))
     else:
-        gaps = coinproblem.nonrepresentable_set(pair).gaps
-        if args.format == "plain":
-            print(" ".join(map(str, gaps)))
-        else:
-            _emit(args, "gaps", inputs, [{"gap": n} for n in gaps], ["gap"])
+        _emit_gaps(args, inputs, coinproblem.nonrepresentable_set(pair).gaps)
     return 0
+
+
+# Gaps per write of a streamed listing.
+_ROWS_PER_WRITE = 4096
+
+
+def _emit_gaps(args: argparse.Namespace, inputs: dict, gaps: tuple[int, ...]) -> None:
+    """Print the gap listing, byte for byte as _emit prints the rows
+    [{"gap": n} for n in gaps] (plain: the gaps on one line), a block of
+    gaps at a time instead of building the rows or one string of them."""
+    out = sys.stdout
+    if args.format == "csv":
+        import csv
+
+        writer = csv.writer(out)
+        writer.writerow(["gap"])
+        writer.writerows((n,) for n in gaps)
+        return
+    if args.format == "json":
+        import json
+
+        head, tail = json.dumps({"command": "gaps", "inputs": inputs, "result": []}).rsplit("[]", 1)
+        head, tail, sep, row = head + "[", "]" + tail, ", ", '{{"gap": {}}}'.format
+    else:
+        head, tail, sep, row = "", "", " ", str
+    out.write(head)
+    for i in range(0, len(gaps), _ROWS_PER_WRITE):
+        out.write((sep if i else "") + sep.join(map(row, gaps[i:i + _ROWS_PER_WRITE])))
+    out.write(tail + "\n")
 
 
 def _cmd_jacobi(args: argparse.Namespace) -> int:

@@ -15,7 +15,9 @@ The lemma chain checks the generalization: the all-d reciprocity
 S(a, b, d) + S(b, a, K) = d*K with K = floor(b*d/a), then the lattice and
 threshold counts built on it, which read S(a, b, d) + S(b, a, K) off the
 same residual, so each (a, b, d) costs two reducer calls.  The Jacobi
-suite checks the symbol engine against its oracles.
+suite checks the symbol engine against its oracles; its two split-parity
+checks share their floor sums per a, one pair of reducer calls per
+distinct b, c or product bc.
 
 Failures are collected, never raised: a CheckResult's ``failures`` list
 holds each offending case's inputs with the expected and actual values,
@@ -45,9 +47,8 @@ from .floorsum import (
     strong_residual,
 )
 from .jacobi import (
+    _check_odd_triple,
     gauss_lemma_count,
-    ge1_residual,
-    ge2_residual,
     jacobi_by_definition,
     jacobi_eisenstein,
     jacobi_reciprocity_check,
@@ -365,14 +366,51 @@ def jacobi_reciprocity(pairs: Iterable[tuple[int, int]]) -> CheckResult:
     return _check("jacobi_reciprocity", ("a", "b"), pairs, jacobi_reciprocity_check, lambda a, b: True)
 
 
+def split_parity_checks(triples: Iterable[tuple[int, int, int]]) -> list[CheckResult]:
+    """ge1_residual(a, b, c) == 0 and ge2_residual(a, b, c) == 0 for odd
+    a, b, c with b and c coprime to a: the parity defects that let the
+    symbol's denominator and numerator split.
+
+    Both defects read T(n) = (S(n, a, (n-1)/2), S(a, n, (a-1)/2)) at
+    n = b, c and bc, as T(bc) - T(b) - T(c) mod 2.  T depends on a and n
+    only, so while a stays the same each T(n) is evaluated once, and it
+    serves every triple whose b, c or product is n: triples grouped by a
+    cost O(#distinct b + #distinct bc) reducer calls per a.  The table
+    starts over whenever a changes, so any order gives the same results.
+    A triple is validated, with ge1_residual's messages, whenever it needs
+    a new entry.
+    """
+    clock = [perf_counter()]
+    names = ("a", "b", "c")
+    rec_den = _Recorder("denominator_split_parity", names, clock)
+    rec_num = _Recorder("numerator_split_parity", names, clock)
+    current = None
+    for inputs in triples:
+        a, b, c = inputs
+        if a != current:
+            current, h, terms = a, (a - 1) // 2, {}
+        bc = b * c
+        for n in (b, c, bc):
+            if n not in terms:
+                # b and c are valid once in the table, and then so is bc
+                _check_odd_triple(a, b, c)
+                terms[n] = (fast_floor_sum(n, a, (n - 1) // 2), fast_floor_sum(a, n, h))
+        (den_b, num_b), (den_c, num_c), (den_bc, num_bc) = terms[b], terms[c], terms[bc]
+        rec_den.case(inputs, 0, (den_bc - den_b - den_c) % 2)
+        rec_num.case(inputs, 0, (num_bc - num_b - num_c) % 2)
+    return [rec_den.result(), rec_num.result()]
+
+
 def denominator_split_parity(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
-    """ge1_residual(a, b, c) == 0 for odd a, b, c with b and c coprime to a."""
-    return _check("denominator_split_parity", ("a", "b", "c"), triples, ge1_residual)
+    """ge1_residual(a, b, c) == 0 for odd a, b, c with b and c coprime to a:
+    the first check of split_parity_checks, over the given triples."""
+    return split_parity_checks(triples)[0]
 
 
 def numerator_split_parity(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
-    """ge2_residual(a, b, c) == 0 for odd a, b, c with b and c coprime to a."""
-    return _check("numerator_split_parity", ("a", "b", "c"), triples, ge2_residual)
+    """ge2_residual(a, b, c) == 0 for odd a, b, c with b and c coprime to a:
+    the second check of split_parity_checks, over the given triples."""
+    return split_parity_checks(triples)[1]
 
 
 def gauss_lemma_sign(cases: Iterable[tuple[int, int]]) -> CheckResult:
@@ -429,8 +467,7 @@ def check_jacobi_suite(g: GridSpec) -> list[CheckResult]:
     return [
         eisenstein_vs_definition(pairs),
         jacobi_reciprocity(pairs),
-        denominator_split_parity(_split_triples(odd_a, odd_b)),
-        numerator_split_parity(_split_triples(odd_a, odd_b)),
+        *split_parity_checks(_split_triples(odd_a, odd_b)),
         gauss_lemma_sign((a, p) for p in primes for a in range(1, p)),
     ]
 

@@ -135,6 +135,24 @@ def test_gaps_variants(capsys):
     assert rows[0] == ["gap"] and len(rows) == 5
 
 
+def test_gaps_listing_streams_the_bytes_of_the_whole_object(capsys):
+    # one joined line, json.dumps and csv.writer over the full row list are
+    # the references; (101, 103) has 5100 gaps, more than one written block
+    for a, b in ((3, 5), (1, 7), (101, 103)):
+        gaps = [n for n in range(a * b) if not any((n - a * x) % b == 0 for x in range(n // a + 1))]
+        rows = [{"gap": n} for n in gaps]
+        want_json = json.dumps({"command": "gaps", "inputs": {"a": a, "b": b}, "result": rows}) + "\n"
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["gap"])
+        for row in rows:
+            writer.writerow([row["gap"]])
+        want_plain = " ".join(map(str, gaps)) + "\n"
+        for fmt, want in (("plain", want_plain), ("json", want_json), ("csv", buf.getvalue())):
+            code, out, _ = run(capsys, "gaps", str(a), str(b), "--format", fmt)
+            assert code == 0 and out == want, (a, b, fmt)
+
+
 def test_gaps_negative_weight(capsys):
     # argparse would read -1/2 as an option; gaps of (3, 5) are 1, 2, 4, 7
     code, out, _ = run(capsys, "gaps", "3", "5", "--weighted", "-1/2", "0")

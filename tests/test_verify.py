@@ -1,22 +1,33 @@
 """Tests for the identity suite: grid handling, determinism, and reporting."""
 
+import re
 import time
+from collections import Counter
+from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coinfloor import floorsum, verify
+from coinfloor.jacobi import ge1_residual, ge2_residual
 from coinfloor.verify import (
     CheckResult,
     GridSpec,
     _Recorder,
+    _split_triples,
     check_equivalence_chain,
     check_jacobi_suite,
     check_lemma_chain,
+    denominator_split_parity,
     half_index_reciprocity,
     lattice_threshold_checks,
+    numerator_split_parity,
     reproduce_section5_example,
     reproduce_table1,
     run_suites,
+    split_parity_checks,
     TABLE1_ROWS,
 )
 
@@ -146,6 +157,95 @@ def test_jacobi_suite_passes():
     for r in results:
         assert r.passed, r.check_id
         assert r.cases_run > 0
+
+
+def _cases_by_check(monkeypatch, run):
+    """Run run() and return each check's multiset of (values, expected, actual)."""
+    seen = {}
+    case = _Recorder.case
+
+    def record(self, values, expected, actual):
+        seen.setdefault(self.check_id, Counter())[values, expected, actual] += 1
+        case(self, values, expected, actual)
+
+    monkeypatch.setattr(_Recorder, "case", record)
+    run()
+    return seen
+
+
+def test_split_parity_checks_agree_with_the_single_triple_definitions(monkeypatch):
+    # b = 1 is in the grid, and products collide (3*15 = 5*9 = 45)
+    triples = list(_split_triples(range(1, 32, 2), range(1, 46, 2)))
+    want = {
+        "denominator_split_parity": Counter((t, 0, ge1_residual(*t)) for t in triples),
+        "numerator_split_parity": Counter((t, 0, ge2_residual(*t)) for t in triples),
+    }
+    # the tables start over on each change of a, so the order does not matter
+    for order in (triples, triples[::-1]):
+        results = []
+        seen = _cases_by_check(monkeypatch, lambda: results.extend(split_parity_checks(order)))
+        assert seen == want
+        assert [(r.check_id, r.cases_run, r.passed) for r in results] == [
+            ("denominator_split_parity", len(triples), True),
+            ("numerator_split_parity", len(triples), True),
+        ]
+
+
+def test_a_fault_in_a_shared_split_term_reaches_every_triple_that_reads_it(monkeypatch):
+    # S(45, 7, 22) is T(bc) of the denominator for a = 7 and bc = 45; no b
+    # of the grid is 45, so only the four triples with that product read it
+    fast_floor_sum = verify.fast_floor_sum
+    monkeypatch.setattr(verify, "fast_floor_sum",
+                        lambda a, b, d: fast_floor_sum(a, b, d) + ((a, b, d) == (45, 7, 22)))
+    results = run_suites("all", GridSpec(8, 16, sample_count=0))
+    failing = {r.check_id: [dict(f.inputs) for f in r.failures] for r in results if r.failures}
+    assert failing == {
+        "denominator_split_parity": [{"a": 7, "b": b, "c": c} for b, c in ((3, 15), (5, 9), (9, 5), (15, 3))],
+    }
+
+
+@pytest.mark.parametrize("triples", [
+    [(4, 1, 1)], [(3, 2, 5)], [(3, 5, 2)], [(3, 5, 9)], [(15, 3, 7)],
+    # b known from an earlier triple with the same a, c new and bad
+    [(3, 5, 5), (3, 5, 9)], [(3, 5, 5), (3, 5, -1)],
+])
+def test_split_parity_checks_refuse_a_bad_triple_with_ge1_residuals_message(triples):
+    with pytest.raises(ValueError) as ref:
+        ge1_residual(*triples[-1])
+    for check in (split_parity_checks, denominator_split_parity, numerator_split_parity):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            check(triples)
+
+
+_BIG_ODD = st.integers(min_value=0, max_value=10**300 // 2).map(lambda n: 2 * n + 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=_BIG_ODD, b=_BIG_ODD, c=_BIG_ODD, d=_BIG_ODD)
+def test_split_parity_past_1e9(a, b, c, d):
+    # the split identities hold at up to 300 digits, single and shared
+    assume(gcd(a, b * c * d) == 1)
+    assert ge1_residual(a, b, c) == 0
+    assert ge2_residual(a, b, c) == 0
+    results = split_parity_checks((a, x, y) for x in (b, c, d) for y in (b, c, d))
+    assert [(r.cases_run, r.passed) for r in results] == [(9, True), (9, True)]
+
+
+def test_jacobi_suite_reducer_calls(monkeypatch):
+    # one call per pair for the symbol, two for its reciprocity, and two per
+    # distinct b, c or bc for each a of the split-parity checks; the
+    # per-triple route made six per triple
+    calls = []
+    steps = floorsum.fast_floor_sum_steps
+    monkeypatch.setattr(floorsum, "fast_floor_sum_steps", lambda *args: calls.append(args) or steps(*args))
+    grid = GridSpec(20, 20)
+    results = check_jacobi_suite(grid)
+    odd = range(1, 21, 2)
+    terms = sum(len({n for b, c in product(odd, odd) if gcd(a, b * c) == 1 for n in (b, c, b * c)})
+                for a in odd)
+    pairs = results[0].cases_run
+    assert pairs == 83 + grid.sample_count
+    assert len(calls) == 3 * pairs + 2 * terms == 1597
 
 
 def test_gridspec_has_no_odd_only_option():
