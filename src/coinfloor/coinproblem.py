@@ -11,8 +11,8 @@ for gcd(a, b) = 1 the congruence a*x == n (mod b) has the unique solution
 x0 = n * a^(-1) mod b in [0, b), and n is representable iff a*x0 <= n.
 
 Threshold and lattice counts are floor sums: summing floor((t - a*x)/b) + 1
-over a range of x is the affine sum F(X+1, b, a, t - a*X) plus X + 1, which
-floorsum.floor_sum_affine_steps evaluates in O(log b) reciprocity rounds.
+over a range of x is X + 1 plus the affine sum F(X+1, b, a, t - a*X), which
+an index shift by the pair's cached inverse splits into two S(b, a, .).
 
 Gap sums come from the Hilbert series of the semigroup <a, b>: the gaps
 have the generating function G(x) = 1/(1-x) - (1-x^ab)/((1-x^a)(1-x^b)),
@@ -29,7 +29,7 @@ from itertools import compress
 from math import comb, factorial, lcm
 
 from .core import CoprimePair, _Record
-from .floorsum import floor_sum_affine_steps
+from .floorsum import _shifted_sum
 
 __all__ = [
     "RepCount",
@@ -140,7 +140,7 @@ def count_representable_upto(p: CoprimePair, k: int) -> int:
         return 0
     a, b = p.a, p.b
     x_top = min(b - 1, k // a)
-    return x_top + 1 + floor_sum_affine_steps(x_top + 1, b, a, k - a * x_top)[0]
+    return x_top + 1 + _shifted_sum(x_top + 1, b, a, k - a * x_top, p.inv_a_mod_b)[0]
 
 
 def count_lattice_3var(p: CoprimePair, target: int) -> int:
@@ -153,7 +153,7 @@ def count_lattice_3var(p: CoprimePair, target: int) -> int:
     _check_nat(target, "target")
     a, b = p.a, p.b
     x_top = target // a
-    return x_top + 1 + floor_sum_affine_steps(x_top + 1, b, a, target - a * x_top)[0]
+    return x_top + 1 + _shifted_sum(x_top + 1, b, a, target - a * x_top, p.inv_a_mod_b)[0]
 
 
 def best_family_point(p: CoprimePair, alpha: int) -> BestFamilyPoint:

@@ -18,12 +18,11 @@ how.  For n-bit operands a round above the cut-over then costs O(n), and a
 call O(n^2) bit operations plus O(1) full-size products.  Below the
 cut-over a round does one product of the by then small operands.
 
-The same sign-alternating reduction, applied to the affine sum
-F(n, m, a, c) = sum_{i=0}^{n-1} floor((a*i + c)/m), gives the lattice
-counts of the coin problem (see coinproblem.count_representable_upto).
-S(a, b, d) is F(d + 1, a, b, 0), but the homogeneous reducer is kept as a
-deliberate specialisation for c = 0: with no offset to carry it does less
-per round, and most of the package's floor sums are of this form.
+This is the package's one reducer.  The affine sum behind the coin
+problem's counts, F(n, m, a, c) = sum_{i=0}^{n-1} floor((a*i + c)/m),
+reduces to two of its sums by a shift of the index: for a coprime to m,
+j0 = c * a^(-1) mod m gives a*j0 - c = t*m, and then
+F(n, m, a, c) = S(m, a, n - 1 + j0) - S(m, a, j0 - 1) - n*t.
 
 The identities themselves are exposed as residual functions returning a
 signed integer so that a violation reports its magnitude, not a bare bool.
@@ -142,48 +141,42 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
         acc += d * K  # boundary term; 0 when the chain ended on K = 0
     else:
         K = b * d // a
-    while K:
-        q, r = divmod(a, b)
+    while K:  # on these small operands // and a - q*b beat divmod's call
+        q = a // b
         acc = K * (2 * d - q * (K + 1)) - acc
         steps += 1
-        a, b, d = b, r, K
+        a, b, d = b, a - q * b, K
         K = b * d // a
     half = acc >> 1
     return (total - half if steps & 1 else total + half), steps
 
 
+def _shifted_sum(n: int, m: int, a: int, c: int, inv: int) -> tuple[int, int]:
+    """(F(n, m, a, c), rounds used) for n >= 1, a coprime to m >= 1 and
+    inv = a^(-1) mod m: a is reduced mod m, pulling its quotient out of the
+    sum, and the rest is the index shift of the module docstring."""
+    qa, a = divmod(a, m)
+    j0 = c * inv % m
+    t = (a * j0 - c) // m
+    top, rounds = fast_floor_sum_steps(m, a, n - 1 + j0)
+    low, low_rounds = fast_floor_sum_steps(m, a, j0 - 1) if j0 else (0, 0)
+    return qa * (n * (n - 1) // 2) + top - low - n * t, rounds + low_rounds
+
+
 def floor_sum_affine_steps(n: int, m: int, a: int, c: int) -> tuple[int, int]:
     """(sum_{i=0}^{n-1} floor((a*i + c)/m), rounds used), for any integers
-    a and c, modulus m >= 1 and count n >= 0, in O(log m) rounds.
-
-    Each round normalizes a and c into [0, m), pulling their quotients out
-    of the sum, then counts the lattice points under the line from the
-    other axis.  With y = floor((a*(n-1) + c)/m) the top value,
-
-        F(n, m, a, c) = (n-1)*y - F(y, a, m, m - c - 1),
-
-    so the sign flips and (m, a) steps down the Euclid remainder chain.
-    The reduction stops when the top value y is zero.
-    """
+    a and c, modulus m >= 1 and count n >= 0, in O(log m) rounds:
+    g = gcd(a, m) is divided out, as floor((a*i + c)/m) =
+    floor((a/g*i + floor(c/g))/(m/g)), and _shifted_sum does the rest."""
     if m < 1:
         raise ValueError(f"modulus m must be >= 1, got {m}")
     if n < 0:
         raise ValueError(f"count n must be >= 0, got {n}")
-    total = 0
-    sign = 1
-    rounds = 0
-    while n > 0:
-        rounds += 1
-        qa, a = divmod(a, m)
-        qc, c = divmod(c, m)
-        total += sign * (qa * (n * (n - 1) // 2) + qc * n)
-        y = (a * (n - 1) + c) // m
-        if y == 0:  # every remaining term is zero
-            break
-        total += sign * (n - 1) * y
-        sign = -sign
-        n, m, a, c = y, a, m, m - c - 1
-    return total, rounds
+    if n == 0:
+        return 0, 0
+    g = gcd(a, m)
+    m, a, c = m // g, a // g, c // g
+    return _shifted_sum(n, m, a, c, pow(a, -1, m))
 
 
 def fast_floor_sum(a: int, b: int, d: int) -> int:

@@ -14,7 +14,7 @@ half-index reciprocity and its equivalence with Sylvester's gap count.
 The lemma chain checks the generalization: the all-d reciprocity
 S(a, b, d) + S(b, a, K) = d*K with K = floor(b*d/a), then the lattice and
 threshold counts built on it, which read S(a, b, d) + S(b, a, K) off the
-same residual, so each (a, b, d) costs two reducer calls.  The Jacobi
+same residual; each S(b, a, K) serves every d of its K.  The Jacobi
 suite checks the symbol engine against its oracles; its two split-parity
 checks share their floor sums per a, one pair of reducer calls per
 distinct b, c or product bc.
@@ -40,6 +40,7 @@ from .coinproblem import (
     count_representable_upto,
 )
 from .core import CoprimePair, _Record, is_prime
+from . import floorsum
 from .floorsum import (
     fast_floor_sum,
     gauss_residual,
@@ -314,13 +315,15 @@ def lattice_threshold_checks(pairs: Iterable[tuple[int, int]],
     reciprocity form and, when 2d > a, through the gap deficit; N0 in swap
     form; and the closed-form family point against both threshold routes.
 
-    The residual is evaluated once per (a, b, d), and the counts read
-    S(a, b, d) + S(b, a, K) off it as d*K + residual, so a reducer fault
-    shows in the reciprocity check and in both counts that use the sum.
-    ``samples`` are further (a, b, d) triples for the reciprocity alone.
-    N0(k) comes from the gap mask (k + 1 minus the set bits up to k), built
-    once per pair in O(ab) bits, so no side runs an O(k) loop.
+    A pair is validated once, as reciprocity_residual would; S(a, b, d) is
+    taken once per d and S(b, a, K) once per distinct K >= 1, and the
+    counts read S(a, b, d) + S(b, a, K) off the residual as d*K + residual,
+    so a reducer fault shows in the reciprocity and in both counts that use
+    the sum.  ``samples`` are further triples for reciprocity_residual
+    alone.  N0(k) comes from the gap mask (k + 1 minus the set bits up to
+    k), built once per pair in O(ab) bits, so no side runs an O(k) loop.
     """
+    floor_sum = floorsum.fast_floor_sum  # looked up as reciprocity_residual does
     clock = [perf_counter()]
     names = ("a", "b", "d")
     rec_swap = _Recorder("swap_identity_all_d", names, clock)
@@ -329,13 +332,17 @@ def lattice_threshold_checks(pairs: Iterable[tuple[int, int]],
     rec_swapform = _Recorder("threshold_swap_form", names, clock)
     rec_family = _Recorder("threshold_closed_form", names, clock)
     for a, b in pairs:
+        if not 1 <= b < a or gcd(a, b) != 1:
+            reciprocity_residual(a, b, 1)  # refuses the pair with its message
         pair = CoprimePair(a, b)
         gap_bits = _gap_bits(a, b)
+        K = swapped = 0  # S(b, a, 0) = 0
         for d in range(1, a):
             inputs = (a, b, d)
-            residual = reciprocity_residual(a, b, d)
+            if b * d // a > K:  # K grows by at most 1 per step, as b < a
+                K, swapped = K + 1, floor_sum(b, a, K + 1)
+            residual = floor_sum(a, b, d) + swapped - d * K
             rec_swap.case(inputs, 0, residual)
-            K = b * d // a
             if K < 1:
                 continue
             target = b * d + a * K

@@ -34,6 +34,7 @@ from oracle import (
     gap_power_sum_bernoulli,
     rep_count_shift_check,
 )
+from test_floorsum import _FIB_A, _FIB_M  # consecutive Fibonacci numbers below 1e300
 
 
 def test_frobenius_number_examples():
@@ -137,6 +138,55 @@ def test_count_representable_upto_300_digits_matches_oracle_floor_sum():
     x_top = min(b - 1, k // a)
     expected = x_top + 1 + floor_sum_iterative(x_top + 1, b, a, k - a * x_top)
     assert count_representable_upto(CoprimePair(a, b), k) == expected
+
+
+# Coin values up to 1e300; a raw k is folded into [0, 3ab) by each test, so
+# thresholds land below ab, where counts and lattice counts agree, and past it.
+_COIN = st.integers(min_value=1, max_value=10**300)
+_RAW_K = st.integers(min_value=0, max_value=10**601)
+
+
+
+def _oracle_count(a, b, x_top, k):
+    # sum_{x=0}^{x_top} (floor((k - a*x)/b) + 1), summed from the top x down
+    return x_top + 1 + floor_sum_iterative(x_top + 1, b, a, k - a * x_top)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_COIN, b=_COIN, k=_RAW_K)
+@example(a=_FIB_M, b=_FIB_A, k=_FIB_M * _FIB_A - 1)
+@example(a=_FIB_A, b=_FIB_M, k=2 * _FIB_M * _FIB_A + 5)
+@example(a=1, b=10**300, k=10**601)
+@example(a=10**300, b=1, k=10**601)
+def test_counts_past_1e9_match_the_oracle_floor_sum(a, b, k):
+    assume(gcd(a, b) == 1)
+    p = CoprimePair(a, b)
+    k %= 3 * a * b
+    assert count_representable_upto(p, k) == _oracle_count(a, b, min(b - 1, k // a), k)
+    assert count_lattice_3var(p, k) == _oracle_count(a, b, k // a, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_COIN.filter(lambda a: a > 1), b=_COIN.filter(lambda b: b > 1), k=_RAW_K)
+@example(a=_FIB_M, b=_FIB_A, k=0)
+@example(a=2, b=10**300 - 1, k=10**300 - 3)
+def test_threshold_count_sylvester_symmetry_past_1e9(a, b, k):
+    # n <= top is representable iff top - n is not, so the counts of the
+    # two ends of [0, top] determine each other
+    assume(gcd(a, b) == 1)
+    top = a * b - a - b
+    n_gaps = (a - 1) * (b - 1) // 2
+    k %= top
+    p = CoprimePair(a, b)
+    assert count_representable_upto(p, k) == k + n_gaps - top + count_representable_upto(p, top - 1 - k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_COIN, b=_COIN, n=_RAW_K)
+@example(a=_FIB_M, b=_FIB_A, n=_FIB_M * _FIB_A - _FIB_M - _FIB_A)
+def test_rep_count_shift_past_1e9(a, b, n):
+    assume(gcd(a, b) == 1)
+    assert _shift_holds(CoprimePair(a, b), n)
 
 
 def test_count_lattice_3var_examples():

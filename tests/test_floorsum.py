@@ -214,8 +214,10 @@ def test_affine_matches_independent_evaluator(n, m, a, c):
 @settings(max_examples=300, deadline=None)
 @given(a=_MOD, b=_BIG, d=_BIG)
 def test_affine_and_homogeneous_reducers_agree(a, b, d):
-    # S(a, b, d) = sum_{i=0}^{d-1} floor((b*i + b)/a): the package's two
-    # reducers cross-check each other at every scale
+    # S(a, b, d) = sum_{i=0}^{d-1} floor((b*i + b)/a): the affine route's
+    # gcd division and index shift against one direct call.  Both sides run
+    # on the one reducer, so test_affine_matches_independent_evaluator is
+    # the affine route's independent check
     assert floor_sum_affine_steps(d, a, b, b)[0] == fast_floor_sum_steps(a, b, d)[0]
 
 

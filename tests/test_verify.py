@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coinfloor import floorsum, verify
+from coinfloor.floorsum import reciprocity_residual
 from coinfloor.jacobi import ge1_residual, ge2_residual
 from coinfloor.verify import (
     CheckResult,
@@ -341,6 +342,53 @@ def test_a_reducer_fault_reaches_every_check_that_reads_it(monkeypatch):
         "lattice_reciprocity_count": fault,
         "threshold_swap_form": fault,  # K = 2 and 2d > a
     }
+
+
+def test_the_lemma_loop_records_reciprocity_residual_for_every_triple(monkeypatch):
+    # S(b, a, K) is evaluated once per distinct K, yet each (a, b, d) still
+    # records the residual reciprocity_residual gives it
+    pairs = [(a, b) for a, b in verify._grid_pairs(GridSpec(30, 30)) if b < a]
+    want = Counter(((a, b, d), 0, reciprocity_residual(a, b, d)) for a, b in pairs for d in range(1, a))
+    seen = _cases_by_check(monkeypatch, lambda: lattice_threshold_checks(pairs))
+    assert seen["swap_identity_all_d"] == want
+
+
+def test_a_fault_in_a_shared_swap_term_reaches_every_d_that_reads_it(monkeypatch):
+    # S(3, 7, 2) is S(b, a, K) of (7, 3) at K = 2, shared by d = 5 and d = 6
+    fast_floor_sum = floorsum.fast_floor_sum
+    monkeypatch.setattr(floorsum, "fast_floor_sum",
+                        lambda a, b, d: fast_floor_sum(a, b, d) + ((a, b, d) == (3, 7, 2)))
+    results = run_suites("all", GridSpec(8, 8, sample_count=0))
+    failing = {r.check_id: [dict(f.inputs) for f in r.failures] for r in results if r.failures}
+    fault = [{"a": 7, "b": 3, "d": d} for d in (5, 6)]
+    assert failing == {
+        "swap_identity_all_d": fault,
+        "lattice_reciprocity_count": fault,
+        "threshold_swap_form": fault,
+    }
+
+
+@pytest.mark.parametrize("pairs", [
+    [(3, 3)], [(3, 5)], [(6, 4)], [(1, 1)], [(5, 0)], [(7, 3), (9, 6)],
+])
+def test_the_lemma_loop_refuses_a_bad_pair_with_reciprocity_residuals_message(pairs):
+    with pytest.raises(ValueError) as ref:
+        reciprocity_residual(*pairs[-1], 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+        lattice_threshold_checks(pairs)
+
+
+def test_lemma_loop_reducer_calls(monkeypatch):
+    # one S(a, b, d) per d and one S(b, a, K) per distinct K >= 1, not one
+    # S(b, a, K) per d
+    calls = []
+    fast_floor_sum = floorsum.fast_floor_sum
+    monkeypatch.setattr(floorsum, "fast_floor_sum", lambda *args: calls.append(args) or fast_floor_sum(*args))
+    pairs = [(a, b) for a, b in verify._grid_pairs(GridSpec(20, 20)) if b < a]
+    results = lattice_threshold_checks(pairs)
+    assert all(r.passed for r in results)
+    want = sum(a - 1 + len({b * d // a for d in range(1, a)} - {0}) for a, b in pairs)
+    assert len(calls) == want
 
 
 # The seeded large cases of GridSpec(5, 5, seed=3, sample_count=4), as the
