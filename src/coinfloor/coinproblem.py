@@ -10,9 +10,11 @@ The O(1) membership and count formulas all rest on the canonical solution:
 for gcd(a, b) = 1 the congruence a*x == n (mod b) has the unique solution
 x0 = n * a^(-1) mod b in [0, b), and n is representable iff a*x0 <= n.
 
-Threshold and lattice counts are floor sums: summing floor((t - a*x)/b) + 1
-over a range of x is X + 1 plus the affine sum F(X+1, b, a, t - a*X), which
-an index shift by the pair's cached inverse splits into two S(b, a, .).
+The lattice count of a*x + b*y + z = t is a floor sum: summing
+floor((t - a*x)/b) + 1 over x <= X = floor(t/a) is an affine sum, which an
+index shift by the pair's cached inverse splits into two S(b, a mod b, .).
+The threshold count N0 is that lattice count up to the Frobenius number
+a*b - a - b, and Sylvester's closed form past it.
 
 Gap sums come from the Hilbert series of the semigroup <a, b>: the gaps
 have the generating function G(x) = 1/(1-x) - (1-x^ab)/((1-x^a)(1-x^b)),
@@ -29,7 +31,7 @@ from itertools import compress
 from math import comb, factorial, lcm
 
 from .core import CoprimePair, _Record
-from .floorsum import _shifted_sum
+from .floorsum import fast_floor_sum
 
 __all__ = [
     "RepCount",
@@ -128,32 +130,43 @@ def representation_count(p: CoprimePair, n: int) -> RepCount:
 def count_representable_upto(p: CoprimePair, k: int) -> int:
     """N0(a, b; k): how many n in [0, k] are representable (0 counts; k < 0 gives 0).
 
-    O(log b) rounds, by floor sums.  Each representable n has exactly one
-    representation with 0 <= x < b (the canonical solution), so with
-    X = min(b - 1, floor(k/a))
-
-        N0 = sum_{x=0}^{X} (floor((k - a*x)/b) + 1) = X + 1 + F(X+1, b, a, k - a*X).
+    Each representable n has exactly one representation with 0 <= x < b
+    (the canonical solution), so N0 counts the (x, y) with a*x + b*y <= k
+    and x < b.  Up to the Frobenius number a*b - a - b, floor(k/a) <= b - 1,
+    so that is count_lattice_3var(p, k), O(log b) rounds.  Past it every n
+    is representable, and N0 = k + 1 - (a-1)(b-1)/2 with no floor sum.
 
     verify checks this against the gap listing and the literal membership loop.
     """
     if k < 0:
         return 0
     a, b = p.a, p.b
-    x_top = min(b - 1, k // a)
-    return x_top + 1 + _shifted_sum(x_top + 1, b, a, k - a * x_top, p.inv_a_mod_b)[0]
+    if k > a * b - a - b:
+        return k + 1 - (a - 1) * (b - 1) // 2
+    return count_lattice_3var(p, k)
 
 
 def count_lattice_3var(p: CoprimePair, target: int) -> int:
     """Number of nonnegative solutions (x, y, z) of a*x + b*y + z = target.
 
-    O(log b) rounds, by floor sums: for each x <= X = floor(target/a) the
-    slack z absorbs whatever y leaves behind, giving floor((target - a*x)/b) + 1
-    choices, and those X + 1 terms sum to X + 1 + F(X+1, b, a, target - a*X).
+    O(log b) rounds, by two floor sums.  For each x <= X = floor(target/a)
+    the slack z absorbs whatever y leaves behind, giving floor((target - a*x)/b) + 1
+    choices.  With n = X + 1, c = target - a*X and a = q*b + r, the x = X - i
+    term is q*i + floor((r*i + c)/b) + 1.  The shift j0 = c * a^(-1) mod b
+    (the pair's cached inverse) makes r*j0 - c = t*b, so
+    floor((r*i + c)/b) = floor(r*(i + j0)/b) - t, and over i < n
+
+        count = n + q*n(n-1)/2 + S(b, r, X + j0) - S(b, r, j0 - 1) - n*t.
     """
     _check_nat(target, "target")
     a, b = p.a, p.b
-    x_top = target // a
-    return x_top + 1 + _shifted_sum(x_top + 1, b, a, target - a * x_top, p.inv_a_mod_b)[0]
+    x_top, c = divmod(target, a)
+    n = x_top + 1
+    q, r = divmod(a, b)
+    j0 = c * p.inv_a_mod_b % b
+    t = (r * j0 - c) // b
+    low = fast_floor_sum(b, r, j0 - 1) if j0 else 0
+    return n + q * (n * x_top // 2) + fast_floor_sum(b, r, x_top + j0) - low - n * t
 
 
 def best_family_point(p: CoprimePair, alpha: int) -> BestFamilyPoint:

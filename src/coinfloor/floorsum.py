@@ -18,11 +18,7 @@ how.  For n-bit operands a round above the cut-over then costs O(n), and a
 call O(n^2) bit operations plus O(1) full-size products.  Below the
 cut-over a round does one product of the by then small operands.
 
-This is the package's one reducer.  The affine sum behind the coin
-problem's counts, F(n, m, a, c) = sum_{i=0}^{n-1} floor((a*i + c)/m),
-reduces to two of its sums by a shift of the index: for a coprime to m,
-j0 = c * a^(-1) mod m gives a*j0 - c = t*m, and then
-F(n, m, a, c) = S(m, a, n - 1 + j0) - S(m, a, j0 - 1) - n*t.
+This is the package's one reducer: the coin problem's counts call it too.
 
 The identities themselves are exposed as residual functions returning a
 signed integer so that a violation reports its magnitude, not a bare bool.
@@ -35,7 +31,6 @@ from math import gcd
 __all__ = [
     "fast_floor_sum",
     "fast_floor_sum_steps",
-    "floor_sum_affine_steps",
     "reciprocity_residual",
     "strong_residual",
     "gauss_residual",
@@ -151,34 +146,6 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     return (total - half if steps & 1 else total + half), steps
 
 
-def _shifted_sum(n: int, m: int, a: int, c: int, inv: int) -> tuple[int, int]:
-    """(F(n, m, a, c), rounds used) for n >= 1, a coprime to m >= 1 and
-    inv = a^(-1) mod m: a is reduced mod m, pulling its quotient out of the
-    sum, and the rest is the index shift of the module docstring."""
-    qa, a = divmod(a, m)
-    j0 = c * inv % m
-    t = (a * j0 - c) // m
-    top, rounds = fast_floor_sum_steps(m, a, n - 1 + j0)
-    low, low_rounds = fast_floor_sum_steps(m, a, j0 - 1) if j0 else (0, 0)
-    return qa * (n * (n - 1) // 2) + top - low - n * t, rounds + low_rounds
-
-
-def floor_sum_affine_steps(n: int, m: int, a: int, c: int) -> tuple[int, int]:
-    """(sum_{i=0}^{n-1} floor((a*i + c)/m), rounds used), for any integers
-    a and c, modulus m >= 1 and count n >= 0, in O(log m) rounds:
-    g = gcd(a, m) is divided out, as floor((a*i + c)/m) =
-    floor((a/g*i + floor(c/g))/(m/g)), and _shifted_sum does the rest."""
-    if m < 1:
-        raise ValueError(f"modulus m must be >= 1, got {m}")
-    if n < 0:
-        raise ValueError(f"count n must be >= 0, got {n}")
-    if n == 0:
-        return 0, 0
-    g = gcd(a, m)
-    m, a, c = m // g, a // g, c // g
-    return _shifted_sum(n, m, a, c, pow(a, -1, m))
-
-
 def fast_floor_sum(a: int, b: int, d: int) -> int:
     """S(a, b, d) by the logarithmic reducer."""
     return fast_floor_sum_steps(a, b, d)[0]
@@ -187,8 +154,9 @@ def fast_floor_sum(a: int, b: int, d: int) -> int:
 def reciprocity_residual(a: int, b: int, d: int) -> int:
     """S(a, b, d) + S(b, a, K) - d*K where K = floor(b*d/a); identically zero.
 
-    Requires 1 <= b < a, 1 <= d < a, gcd(a, b) = 1.  When K = 0 both sums
-    are empty or all-zero, so the residual is 0 without invoking the swap.
+    Requires 1 <= b < a, 1 <= d < a, gcd(a, b) = 1.  When K = 0 the swapped
+    sum S(b, a, 0) is empty, so the residual is S(a, b, d), whose terms are
+    all 0 as b*d < a.
     """
     if not 1 <= b < a:
         raise ValueError(f"need 1 <= b < a, got a={a}, b={b}")

@@ -272,9 +272,8 @@ def half_index_reciprocity(pairs: Iterable[tuple[int, int]]) -> CheckResult:
 
 
 def swap_identity_all_d(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
-    """reciprocity_residual(a, b, d) == 0 for coprime b < a and 1 <= d < a:
-    the first check of lattice_threshold_checks, over the given triples."""
-    return lattice_threshold_checks((), triples)[0]
+    """reciprocity_residual(a, b, d) == 0 for coprime b < a and 1 <= d < a."""
+    return _check("swap_identity_all_d", ("a", "b", "d"), triples, reciprocity_residual)
 
 
 def gap_count_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
@@ -406,18 +405,6 @@ def split_parity_checks(triples: Iterable[tuple[int, int, int]]) -> list[CheckRe
         rec_den.case(inputs, 0, (den_bc - den_b - den_c) % 2)
         rec_num.case(inputs, 0, (num_bc - num_b - num_c) % 2)
     return [rec_den.result(), rec_num.result()]
-
-
-def denominator_split_parity(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
-    """ge1_residual(a, b, c) == 0 for odd a, b, c with b and c coprime to a:
-    the first check of split_parity_checks, over the given triples."""
-    return split_parity_checks(triples)[0]
-
-
-def numerator_split_parity(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
-    """ge2_residual(a, b, c) == 0 for odd a, b, c with b and c coprime to a:
-    the second check of split_parity_checks, over the given triples."""
-    return split_parity_checks(triples)[1]
 
 
 def gauss_lemma_sign(cases: Iterable[tuple[int, int]]) -> CheckResult:

@@ -30,14 +30,13 @@ from coinfloor.verify import (
     GridSpec,
     TABLE1_ROWS,
     check_lemma_chain,
-    denominator_split_parity,
     eisenstein_vs_definition,
     gauss_reciprocity_sum,
     half_index_reciprocity,
     jacobi_reciprocity,
-    numerator_split_parity,
     reproduce_section5_example,
     reproduce_table1,
+    split_parity_checks,
     swap_identity_all_d,
 )
 from oracle import floor_sum_iterative, floor_sum_terms, naive_prefix
@@ -134,8 +133,7 @@ def test_criterion_5_jacobi_engine(capsys):
         eisenstein_vs_definition(
             (a, b) for b in range(1, 502, 2) for a in range(1, 2 * b, 2) if gcd(a, b) == 1
         ),
-        denominator_split_parity(split),
-        numerator_split_parity(split),
+        *split_parity_checks(split),
         jacobi_reciprocity((a, b) for a in odd for b in odd if gcd(a, b) == 1),
     ]
     for r in results:

@@ -1,5 +1,6 @@
 """Tests for representability counts, the threshold-count family, and gap sums."""
 
+import random
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coinfloor import coinproblem
+from coinfloor import coinproblem, floorsum
 from coinfloor.coinproblem import (
     _series_moment,
     BestFamilyPoint,
@@ -179,6 +180,30 @@ def test_threshold_count_sylvester_symmetry_past_1e9(a, b, k):
     k %= top
     p = CoprimePair(a, b)
     assert count_representable_upto(p, k) == k + n_gaps - top + count_representable_upto(p, top - 1 - k)
+
+
+def test_counts_past_the_frobenius_number_call_no_floor_sum(monkeypatch):
+    # past top = ab - a - b every n is representable, so N0 = k + 1 - G in
+    # closed form; at top itself N0 is the lattice count, which does reach
+    # the reducer, and the two routes meet: N0(k) = N0(top) + k - top
+    calls = []
+    steps = floorsum.fast_floor_sum_steps
+    monkeypatch.setattr(floorsum, "fast_floor_sum_steps", lambda *args: calls.append(args) or steps(*args))
+    rng = random.Random(300)
+    pairs = 0
+    while pairs < 10:
+        a, b = rng.randrange(10**299, 10**300), rng.randrange(10**299, 10**300)
+        if gcd(a, b) != 1:
+            continue
+        pairs += 1
+        p = CoprimePair(a, b)
+        top, n_gaps = a * b - a - b, (a - 1) * (b - 1) // 2
+        at_top = count_representable_upto(p, top)
+        assert calls
+        calls.clear()
+        for k in (top + 1, top + rng.randrange(2, a * b), a * b, 5 * a * b, 10**601):
+            assert count_representable_upto(p, k) == k + 1 - n_gaps == at_top + k - top
+        assert calls == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -36,7 +36,7 @@ def test_removed_names_stay_removed():
         "gcd", "extended_gcd", "mod_inverse", "pow_mod", "OddCoprimePair",
         "FloorSumQuery", "FloorSum", "floor_sum_fast", "floor_sum_naive",
         "ExactRational", "legendre_by_search", "rep_count_shift_check",
-        "naive_floor_sum",
+        "naive_floor_sum", "floor_sum_affine_steps",
     )
     for name in removed:
         assert not hasattr(coinfloor, name), name

@@ -11,7 +11,6 @@ from coinfloor.floorsum import (
     _CHAIN_MIN,
     fast_floor_sum,
     fast_floor_sum_steps,
-    floor_sum_affine_steps,
     gauss_residual,
     reciprocity_residual,
     strong_residual,
@@ -185,40 +184,6 @@ def _fibonacci_pair_below(limit):
 
 
 _FIB_M, _FIB_A = _fibonacci_pair_below(10**300)
-
-
-def test_affine_small_exhaustive_and_validation():
-    for n in range(0, 16):
-        for m in range(1, 10):
-            for a in range(-12, 25):
-                for c in range(-12, 25):
-                    value, _ = floor_sum_affine_steps(n, m, a, c)
-                    assert value == sum((a * i + c) // m for i in range(n)), (n, m, a, c)
-    with pytest.raises(ValueError):
-        floor_sum_affine_steps(3, 0, 1, 1)
-    with pytest.raises(ValueError):
-        floor_sum_affine_steps(-1, 3, 1, 1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(n=_BIG, m=_MOD, a=_BIG, c=_BIG)
-@example(n=10**300, m=7, a=10**300, c=10**299)  # a, c far past m
-@example(n=10**150, m=10**300 - 1, a=10**300 + 5, c=3 * 10**300)  # a, c just past m
-@example(n=10**300, m=_FIB_M, a=_FIB_A, c=_FIB_M - 1)  # longest Euclid chain
-def test_affine_matches_independent_evaluator(n, m, a, c):
-    value, rounds = floor_sum_affine_steps(n, m, a, c)
-    assert value == floor_sum_iterative(n, m, a, c)
-    assert rounds <= 3 * max(m, a).bit_length() + 3
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=_MOD, b=_BIG, d=_BIG)
-def test_affine_and_homogeneous_reducers_agree(a, b, d):
-    # S(a, b, d) = sum_{i=0}^{d-1} floor((b*i + b)/a): the affine route's
-    # gcd division and index shift against one direct call.  Both sides run
-    # on the one reducer, so test_affine_matches_independent_evaluator is
-    # the affine route's independent check
-    assert floor_sum_affine_steps(d, a, b, b)[0] == fast_floor_sum_steps(a, b, d)[0]
 
 
 @settings(max_examples=300, deadline=None)
