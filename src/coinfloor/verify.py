@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain
+from itertools import chain, groupby, islice
 from math import gcd
+from operator import itemgetter
 from time import perf_counter
 
 from .coinproblem import (
@@ -72,6 +73,9 @@ __all__ = [
 
 # Upper bound for the seeded random large-parameter cases.
 _SAMPLE_MAX = 10**9
+
+# Cases a single-identity check records at a time; bounds its lists.
+_BATCH = 4096
 
 # Largest max(A, B)**2 * min(A, B) of a grid, which a pass's time grows
 # with (see the README); grid 150, at the limit, takes about 15 s.
@@ -168,37 +172,41 @@ class _Recorder:
     once, here, and read only when a case mismatches, which pairs them
     with that case's values as its Failure's inputs.
 
-    ``clock`` is a one-item list: when the previous case of any recorder
-    sharing it was recorded, or when it was made.  A case is charged the
-    time since then, so the charges are disjoint and add up to the wall
-    time of the loop that feeds the recorders, and work shared by several
-    checks is charged once, to the check whose case follows it.  case()
-    runs hundreds of thousands of times a pass, so it reads the time once.
+    Cases are recorded in batches, right after the loop that computes
+    them: cases(expected, actual, inputs) compares the two lists with one
+    ``!=`` and asks inputs(i) for a case's values only where position i
+    mismatches, so a passing case builds nothing.  ``clock`` is a
+    one-item list: when the previous batch of any recorder sharing it was
+    recorded, or when it was made.  A batch is charged the time since
+    then, so the charges are disjoint and add up to the wall time of the
+    loop that feeds the recorders, and work shared by several checks is
+    charged once, to the check whose batch follows it.
     """
 
-    __slots__ = ("check_id", "names", "cases", "failures", "elapsed", "_clock")
+    __slots__ = ("check_id", "names", "cases_run", "failures", "elapsed", "_clock")
 
     def __init__(self, check_id: str, names: tuple[str, ...], clock: list[float] | None = None) -> None:
         self.check_id = check_id
         self.names = names
-        self.cases = 0
+        self.cases_run = 0
         self.failures: list[Failure] = []
         self.elapsed = 0.0
         self._clock = clock or [perf_counter()]
 
-    def case(self, values: tuple[int, ...], expected: object, actual: object) -> None:
+    def cases(self, expected: list, actual: list, inputs: Callable[[int], tuple[int, ...]]) -> None:
         now = perf_counter()
         clock = self._clock
         self.elapsed += now - clock[0]
         clock[0] = now
-        self.cases += 1
+        self.cases_run += len(actual)
         if expected != actual:
-            self.failures.append(Failure(tuple(sorted(zip(self.names, values))), expected, actual))
+            self.failures += [Failure(tuple(sorted(zip(self.names, inputs(i)))), want, got)
+                              for i, (want, got) in enumerate(zip(expected, actual)) if want != got]
 
     def result(self) -> CheckResult:
         return CheckResult(
             check_id=self.check_id,
-            cases_run=self.cases,
+            cases_run=self.cases_run,
             failures=sorted(self.failures, key=lambda f: f.inputs),
             elapsed=self.elapsed,
         )
@@ -212,9 +220,16 @@ def _check(check_id: str, names: tuple[str, ...], cases: Iterable[tuple[int, ...
            actual: Callable[..., object], expected: Callable[..., object] = _zero) -> CheckResult:
     """One identity over its cases: actual(*case) == expected(*case) for each."""
     rec = _Recorder(check_id, names)
-    for case in cases:
-        rec.case(case, expected(*case), actual(*case))
+    for batch in _batches(cases):
+        rec.cases([expected(*case) for case in batch], [actual(*case) for case in batch], batch.__getitem__)
     return rec.result()
+
+
+def _batches(cases: Iterable[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
+    """The cases as lists of up to _BATCH, in order."""
+    it = iter(cases)
+    while batch := list(islice(it, _BATCH)):
+        yield batch
 
 
 def _naive_floor_sum(a: int, b: int, d: int) -> int:
@@ -284,16 +299,16 @@ def gap_count_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
     rec_bridge = _Recorder("gap_count_floor_sum_bridge", ("a", "b"), clock)
     rec_parity = _Recorder("half_product_parity_identity", ("a", "b"), clock)
     rec_card = _Recorder("gap_cardinality", ("a", "b"), clock)
-    for inputs in pairs:
-        a, b = inputs
+    for batch in _batches(pairs):
         # the gaps counted off the bit mask, independently of the closed form
-        n_gaps = _gap_bits(a, b).bit_count()
-        lhs = n_gaps + 2 * (fast_floor_sum(a, b, a // 2) + fast_floor_sum(b, a, b // 2))
-        rhs = (a - 1) * (b // 2) + (b - 1) * (a // 2)
-        rec_bridge.case(inputs, rhs, lhs)
+        n_gaps = [_gap_bits(a, b).bit_count() for a, b in batch]
+        rhs = [(a - 1) * (b // 2) + (b - 1) * (a // 2) for a, b in batch]
+        rec_bridge.cases(rhs, [n + 2 * (fast_floor_sum(a, b, a // 2) + fast_floor_sum(b, a, b // 2))
+                               for n, (a, b) in zip(n_gaps, batch)], batch.__getitem__)
         # doubled to stay integral; (a-1)(b-1) is even for coprime a, b
-        rec_parity.case(inputs, 2 * rhs, (a - 1) * (b - 1) + 4 * (a // 2) * (b // 2))
-        rec_card.case(inputs, (a - 1) * (b - 1) // 2, n_gaps)
+        rec_parity.cases([2 * r for r in rhs], [(a - 1) * (b - 1) + 4 * (a // 2) * (b // 2) for a, b in batch],
+                         batch.__getitem__)
+        rec_card.cases([(a - 1) * (b - 1) // 2 for a, b in batch], n_gaps, batch.__getitem__)
     return [rec_bridge.result(), rec_parity.result(), rec_card.result()]
 
 
@@ -334,31 +349,32 @@ def lattice_threshold_checks(pairs: Iterable[tuple[int, int]],
         if not 1 <= b < a or gcd(a, b) != 1:
             reciprocity_residual(a, b, 1)  # refuses the pair with its message
         pair = CoprimePair(a, b)
+        ds = range(1, a)
+        Ks = [b * d // a for d in ds]  # K grows by at most 1 per d, as b < a
+        swapped = [0, *(floor_sum(b, a, K) for K in range(1, Ks[-1] + 1))]  # S(b, a, 0) = 0
+        residuals = [floor_sum(a, b, d) + swapped[K] - d * K for d, K in zip(ds, Ks)]
+        rec_swap.cases([0] * len(ds), residuals, lambda i: (a, b, 1 + i))
+        lo = -(-a // b)  # from here on d starts at the first d with K >= 1
+        ds, Ks, residuals = ds[lo - 1:], Ks[lo - 1:], residuals[lo - 1:]
+        targets = [b * d + a * K for d, K in zip(ds, Ks)]
+        lattice = [count_lattice_3var(pair, t) for t in targets]
+        rec_rect.cases([2 * (d * K + r) + d + K + 1 for d, K, r in zip(ds, Ks, residuals)], lattice,
+                       lambda i: (a, b, lo + i))
+        hi = max(lo, a // 2 + 1)  # and from here on at the first d with 2d > a too
+        ds, Ks, residuals, targets, lattice = (x[hi - lo:] for x in (ds, Ks, residuals, targets, lattice))
         gap_bits = _gap_bits(a, b)
-        K = swapped = 0  # S(b, a, 0) = 0
-        for d in range(1, a):
-            inputs = (a, b, d)
-            if b * d // a > K:  # K grows by at most 1 per step, as b < a
-                K, swapped = K + 1, floor_sum(b, a, K + 1)
-            residual = floor_sum(a, b, d) + swapped - d * K
-            rec_swap.case(inputs, 0, residual)
-            if K < 1:
-                continue
-            target = b * d + a * K
-            lattice = count_lattice_3var(pair, target)
-            rec_rect.case(inputs, 2 * (d * K + residual) + d + K + 1, lattice)
-            if 2 * d <= a:
-                continue
-            k = target - a * b
-            # every n in [0, k] but the gaps up to k; none when k < 0
-            n0 = k + 1 - (gap_bits & ((1 << (k + 1)) - 1)).bit_count() if k >= 0 else 0
-            rec_deficit.case(inputs, target + 1 - (a - 1) * (b - 1) // 2 + n0, lattice)
-            family = (2 * d - a + 1) * (2 * K - b + 1) // 2
-            rec_swapform.case(inputs, n0, 2 * residual + family)
-            rec_family.case(inputs, (k, n0, n0),
-                            (*best2_count(pair, d), count_representable_upto(pair, k)))
-    for inputs in samples:
-        rec_swap.case(inputs, 0, reciprocity_residual(*inputs))
+        ks = [t - a * b for t in targets]
+        # every n in [0, k] but the gaps up to k; none when k < 0
+        n0 = [k + 1 - (gap_bits & ((1 << (k + 1)) - 1)).bit_count() if k >= 0 else 0 for k in ks]
+        gaps = (a - 1) * (b - 1) // 2
+        rec_deficit.cases([t + 1 - gaps + n for t, n in zip(targets, n0)], lattice, lambda i: (a, b, hi + i))
+        rec_swapform.cases(n0, [2 * r + (2 * d - a + 1) * (2 * K - b + 1) // 2 for d, K, r in zip(ds, Ks, residuals)],
+                           lambda i: (a, b, hi + i))
+        rec_family.cases([(k, n, n) for k, n in zip(ks, n0)],
+                         [(*best2_count(pair, d), count_representable_upto(pair, k)) for d, k in zip(ds, ks)],
+                         lambda i: (a, b, hi + i))
+    samples = list(samples)
+    rec_swap.cases([0] * len(samples), [reciprocity_residual(*t) for t in samples], samples.__getitem__)
     return [rec.result() for rec in (rec_swap, rec_rect, rec_deficit, rec_swapform, rec_family)]
 
 
@@ -382,28 +398,32 @@ def split_parity_checks(triples: Iterable[tuple[int, int, int]]) -> list[CheckRe
     only, so while a stays the same each T(n) is evaluated once, and it
     serves every triple whose b, c or product is n: triples grouped by a
     cost O(#distinct b + #distinct bc) reducer calls per a.  The table
-    starts over whenever a changes, so any order gives the same results.
-    A triple is validated, with ge1_residual's messages, whenever it needs
-    a new entry.
+    keeps T(n)'s two parities as one small int, so a triple's defects are
+    the two bits of par[bc] ^ par[b] ^ par[c].  It starts over whenever a
+    changes, so any order gives the same results, and each run of equal a
+    is recorded as one batch per check.  A triple is validated, with
+    ge1_residual's messages, whenever it needs a new entry.
     """
     clock = [perf_counter()]
     names = ("a", "b", "c")
     rec_den = _Recorder("denominator_split_parity", names, clock)
     rec_num = _Recorder("numerator_split_parity", names, clock)
-    current = None
-    for inputs in triples:
-        a, b, c = inputs
-        if a != current:
-            current, h, terms = a, (a - 1) // 2, {}
-        bc = b * c
-        for n in (b, c, bc):
-            if n not in terms:
+    for a, run in groupby(triples, itemgetter(0)):
+        run = list(run)
+        h, par = (a - 1) // 2, {}  # n -> the parities of T(n), the denominator's in bit 0
+        defects = []
+        for _, b, c in run:
+            bc = b * c
+            if b not in par or c not in par or bc not in par:
                 # b and c are valid once in the table, and then so is bc
                 _check_odd_triple(a, b, c)
-                terms[n] = (fast_floor_sum(n, a, (n - 1) // 2), fast_floor_sum(a, n, h))
-        (den_b, num_b), (den_c, num_c), (den_bc, num_bc) = terms[b], terms[c], terms[bc]
-        rec_den.case(inputs, 0, (den_bc - den_b - den_c) % 2)
-        rec_num.case(inputs, 0, (num_bc - num_b - num_c) % 2)
+                for n in (b, c, bc):
+                    if n not in par:
+                        par[n] = fast_floor_sum(n, a, (n - 1) // 2) & 1 | (fast_floor_sum(a, n, h) & 1) << 1
+            defects.append(par[bc] ^ par[b] ^ par[c])
+        zeros = [0] * len(run)
+        rec_den.cases(zeros, [x & 1 for x in defects], run.__getitem__)
+        rec_num.cases(zeros, [x >> 1 for x in defects], run.__getitem__)
     return [rec_den.result(), rec_num.result()]
 
 
@@ -480,18 +500,15 @@ def reproduce_table1() -> CheckResult:
     def norm(k: int) -> object:
         return k if k >= 0 else "<0"
 
-    for alpha, k_ref, n0_ref in TABLE1_ROWS:
-        point = best_family_point(pair, alpha)
-        rec.case(
-            (alpha,),
-            (norm(k_ref), n0_ref, n0_ref, n0_ref),
-            (
-                norm(point.k),
-                point.n0,
-                _count_by_membership(pair, point.k),
-                count_representable_upto(pair, point.k),
-            ),
-        )
+    points = [best_family_point(pair, alpha) for alpha, _, _ in TABLE1_ROWS]
+    rec.cases(
+        [(norm(k_ref), n0_ref, n0_ref, n0_ref) for _, k_ref, n0_ref in TABLE1_ROWS],
+        [
+            (norm(point.k), point.n0, _count_by_membership(pair, point.k), count_representable_upto(pair, point.k))
+            for point in points
+        ],
+        lambda i: TABLE1_ROWS[i][:1],
+    )
     return rec.result()
 
 
@@ -501,16 +518,14 @@ def reproduce_section5_example() -> CheckResult:
     floor-sum threshold count against the composition 15 + 24 + 21 = 60."""
     rec = _Recorder("worked_example_29_23", ("a", "b", "d"))
     pair = CoprimePair(29, 23)
-    rec.case((29, 23, 8), 24, _naive_floor_sum(29, 23, 8))
-    rec.case((29, 23, 8), 24, fast_floor_sum(29, 23, 8))
-    rec.case((23, 4, 18), 21, _naive_floor_sum(23, 4, 18))
-    rec.case((23, 4, 18), 21, fast_floor_sum(23, 4, 18))
+    sums = [(29, 23, 8), (29, 23, 8), (23, 4, 18), (23, 4, 18)]
+    rec.cases([24, 24, 21, 21], [_naive_floor_sum(29, 23, 8), fast_floor_sum(29, 23, 8),
+                                 _naive_floor_sum(23, 4, 18), fast_floor_sum(23, 4, 18)], sums.__getitem__)
     rec.names = ("k",)
-    rec.case((257,), 60, _count_by_membership(pair, 257))
-    rec.case(
-        (257,),
-        count_representable_upto(pair, 257),
-        15 + fast_floor_sum(29, 23, 8) + fast_floor_sum(23, 4, 18),
+    rec.cases(
+        [60, count_representable_upto(pair, 257)],
+        [_count_by_membership(pair, 257), 15 + fast_floor_sum(29, 23, 8) + fast_floor_sum(23, 4, 18)],
+        lambda i: (257,),
     )
     return rec.result()
 

@@ -60,6 +60,44 @@ def naive_prefix(a: int, b: int, d_max: int) -> list[int]:
     return out
 
 
+def factorize_by_trial_division(n: int) -> list[tuple[int, int]]:
+    """(prime, multiplicity) pairs of n >= 1, by dividing by 2, 3, 4, 5, ...
+    while the divisor's square is at most what is left.  O(sqrt(n)), with
+    no prime table and no blocks."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            r = 0
+            while n % f == 0:
+                n //= f
+                r += 1
+            out.append((f, r))
+        f += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def jacobi_binary(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 1 by the binary algorithm (Cohen,
+    A Course in Computational Algebraic Number Theory, Algorithm 1.4.10):
+    strip factors of 2 from a with the (2/n) rule, swap by reciprocity and
+    reduce.  No floor sums and no factorization."""
+    assert n >= 1 and n % 2 == 1
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos % 2 and n % 8 in (3, 5):
+            sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
 def legendre_by_search(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by scanning for an x with
     x*x == a (mod p).  O(p): the definitional oracle for small p."""

@@ -6,8 +6,11 @@ from math import gcd
 
 import pytest
 
+from coinfloor import core
+from coinfloor.coinproblem import best2_count, best_family_point, frobenius_number, is_representable
 from coinfloor.core import CoprimePair, factorize, is_prime
 from coinfloor.jacobi import jacobi_by_definition, jacobi_eisenstein
+from oracle import factorize_by_trial_division
 
 
 def test_mod_inverse_examples():
@@ -137,6 +140,27 @@ def test_factorize_past_the_prime_table():
                 assert jacobi_by_definition(a, b) == jacobi_eisenstein(a, b), (a, b)
 
 
+def test_factorize_matches_the_trial_division_oracle():
+    # the table is tried in blocks of primes; cover both sides of its end
+    # (32749 is its last prime, 32771 the first prime past it), products and
+    # squares of table primes, and random n up to 1e12
+    primes, blocks = core._small_primes()
+    assert len(primes) == 3512 and primes[-1] == 32749 and len(blocks) == -(-3512 // core._BLOCK)
+    rng = random.Random(191)
+    table = [rng.choice(primes) for _ in range(40)]
+    cases = [
+        *range(2**15 - 40, 2**15 + 41),
+        *(p * p for p in table[:10]),
+        *(p * q for p, q in zip(table[10:20], table[20:30])),
+        *(p * p * q for p, q in zip(table[30:35], table[35:40])),
+        32749**2, 32719 * 32749, 2**40, 3**25, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37,
+        32771, 32779, 32783, 32771 * 32779, 32749 * 32771, 32771**2 * 3,
+        *(rng.randrange(1, 10**12) for _ in range(30)),
+    ]
+    for n in cases:
+        assert factorize(n) == factorize_by_trial_division(n), n
+
+
 def test_factorize_refuses_past_its_budget():
     assert factorize(10**14) == [(2, 14), (5, 14)]
     for n in (10**14 + 1, 10**20 + 39):
@@ -161,3 +185,26 @@ def test_coprime_pair_is_immutable():
     with pytest.raises(Exception):
         p.a = 7  # frozen dataclass
 
+
+
+def test_coprime_pair_computes_its_inverse_on_first_read():
+    rng = random.Random(300)
+    while True:
+        b = rng.randrange(10**299, 10**300)
+        a = rng.randrange(b + 1, 10**300)
+        if gcd(a, b) == 1:
+            break
+    pair = CoprimePair(a, b)
+    best_family_point(pair, 5)
+    best2_count(pair, a // 2 + 1)
+    frobenius_number(pair)
+    assert "inv_a_mod_b" not in vars(pair)
+    assert pair == CoprimePair(a, b) and hash(pair) == hash((a, b))
+    assert repr(pair) == f"CoprimePair(a={a}, b={b})"
+    is_representable(pair, a * b + 5)
+    assert vars(pair)["inv_a_mod_b"] == pow(a, -1, b) == pair.inv_a_mod_b
+    assert list(vars(pair)) == ["a", "b", "inv_a_mod_b"]
+    # still one pair value, and still read-only
+    assert pair == CoprimePair(a, b) and hash(pair) == hash(CoprimePair(a, b))
+    with pytest.raises(AttributeError):
+        pair.inv_a_mod_b = 1

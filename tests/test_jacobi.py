@@ -4,6 +4,8 @@ import time
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coinfloor.core import is_prime
 from coinfloor.jacobi import (
@@ -15,7 +17,7 @@ from coinfloor.jacobi import (
     jacobi_reciprocity_check,
     legendre_euler,
 )
-from oracle import legendre_by_search
+from oracle import jacobi_binary, legendre_by_search
 
 
 def test_legendre_euler_examples():
@@ -178,3 +180,36 @@ def test_symbol_values_stay_in_range():
     for b in range(1, 80, 2):
         for a in range(0, 80):
             assert jacobi_by_definition(a, b) in (-1, 0, 1)
+
+
+# Odd arguments up to 10**300, far past the grids above.
+_ODD = st.integers(min_value=0, max_value=10**300 // 2).map(lambda n: 2 * n + 1)
+_PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@_PROPERTY
+@given(a=_ODD, b=_ODD)
+def test_symbol_past_1e9_matches_the_binary_oracle_and_reciprocity(a, b):
+    assume(gcd(a, b) == 1)
+    value = jacobi_eisenstein(a, b)
+    assert value == jacobi_binary(a, b)
+    assert value * jacobi_eisenstein(b, a) == (-1) ** ((a - 1) * (b - 1) // 4 % 2)
+    # the numerator shift a -> a + 2b keeps the symbol
+    assert jacobi_eisenstein(a + 2 * b, b) == value
+
+
+@_PROPERTY
+@given(a=_ODD, b=_ODD, c=_ODD)
+def test_symbol_past_1e9_is_multiplicative(a, b, c):
+    # in the numerator for the denominator c, and in the denominator for the numerator a
+    assume(gcd(a * b, c) == 1)
+    assert jacobi_eisenstein(a * b, c) == jacobi_eisenstein(a, c) * jacobi_eisenstein(b, c)
+    assume(gcd(a, b) == 1)
+    assert jacobi_eisenstein(a, b * c) == jacobi_eisenstein(a, b) * jacobi_eisenstein(a, c)
+
+
+def test_binary_oracle_against_the_definition():
+    # the oracle itself, against factorization and Euler's criterion, 0 included
+    for b in range(1, 200, 2):
+        for a in range(0, 2 * b):
+            assert jacobi_binary(a, b) == jacobi_by_definition(a, b), (a, b)

@@ -12,9 +12,11 @@ FAILURE = Failure(inputs=(("a", 1),), expected=0, actual=1)
 # id -> (record built by keyword, the same built positionally, a record
 # that differs in one field, vars() in order, repr)
 CASES = {
+    # the inverse joins vars() on its first read, after the fields (see
+    # test_core::test_coprime_pair_computes_its_inverse_on_first_read)
     "CoprimePair": (
         CoprimePair(a=29, b=23), CoprimePair(29, 23), CoprimePair(29, 24),
-        {"a": 29, "b": 23, "inv_a_mod_b": 4}, "CoprimePair(a=29, b=23)",
+        {"a": 29, "b": 23}, "CoprimePair(a=29, b=23)",
     ),
     "RepCount": (
         RepCount(n=8, count=1), RepCount(8, 1), RepCount(8, 0),

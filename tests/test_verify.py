@@ -1,5 +1,6 @@
 """Tests for the identity suite: grid handling, determinism, and reporting."""
 
+import hashlib
 import re
 import time
 from collections import Counter
@@ -11,10 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coinfloor import floorsum, verify
+from coinfloor.core import CoprimePair
 from coinfloor.floorsum import reciprocity_residual
 from coinfloor.jacobi import ge1_residual, ge2_residual
 from coinfloor.verify import (
     CheckResult,
+    Failure,
     GridSpec,
     _Recorder,
     _split_triples,
@@ -161,15 +164,37 @@ def test_jacobi_suite_passes():
 def _cases_by_check(monkeypatch, run):
     """Run run() and return each check's multiset of (values, expected, actual)."""
     seen = {}
-    case = _Recorder.case
+    cases = _Recorder.cases
 
-    def record(self, values, expected, actual):
-        seen.setdefault(self.check_id, Counter())[values, expected, actual] += 1
-        case(self, values, expected, actual)
+    def record(self, expected, actual, inputs):
+        counter = seen.setdefault(self.check_id, Counter())
+        for i, case in enumerate(zip(expected, actual)):
+            counter[(inputs(i), *case)] += 1
+        cases(self, expected, actual, inputs)
 
-    monkeypatch.setattr(_Recorder, "case", record)
+    monkeypatch.setattr(_Recorder, "cases", record)
     run()
     return seen
+
+
+def _digest(seen):
+    """sha256 of the sorted multiset of (check id, values, expected, actual)."""
+    lines = sorted(repr((check_id, *case)) for check_id, counter in seen.items() for case in counter.elements())
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# _digest of a grid-60 pass by seed, as the per-case recorder gave them
+# before cases were recorded in batches
+GRID60_DIGESTS = {
+    0: "0f3824bea0e056a0a34dc026c41349932968049c3a06d0b1f8ad45012d289e43",
+    7: "48944c1cd6f39a18ebe287296d1928736e1275d0fd4e7d31af1e2e52731faad7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GRID60_DIGESTS))
+def test_grid60_cases_and_values_are_golden(monkeypatch, seed):
+    seen = _cases_by_check(monkeypatch, lambda: run_suites("all", GridSpec(60, 60, seed=seed)))
+    assert _digest(seen) == GRID60_DIGESTS[seed]
 
 
 def test_split_parity_checks_agree_with_the_single_triple_definitions(monkeypatch):
@@ -287,9 +312,8 @@ def test_suite_selection():
 
 def test_recorder_failure_reporting():
     rec = _Recorder("demo", ("a", "b"))
-    rec.case((2, 1), 0, 0)
-    rec.case((1, 9), 0, 5)
-    rec.case((1, 3), 0, 7)
+    rec.cases([0, 0], [0, 5], [(2, 1), (1, 9)].__getitem__)
+    rec.cases([0], [7], lambda i: (1, 3))
     result = rec.result()
     assert isinstance(result, CheckResult)
     assert not result.passed
@@ -375,6 +399,32 @@ def test_the_lemma_loop_refuses_a_bad_pair_with_reciprocity_residuals_message(pa
         lattice_threshold_checks(pairs)
 
 
+def test_an_off_by_one_lattice_count_fails_exactly_the_cases_that_read_it(monkeypatch):
+    # the lattice count of (7, 3) at 3*6 + 7*2 = 32 is read by d = 6 only,
+    # in reciprocity form and through the gap deficit
+    count = verify.count_lattice_3var
+    monkeypatch.setattr(verify, "count_lattice_3var",
+                        lambda pair, t: count(pair, t) + ((pair.a, pair.b, t) == (7, 3, 32)))
+    pairs = [(a, b) for a, b in verify._grid_pairs(GridSpec(8, 8)) if b < a]
+    results = lattice_threshold_checks(pairs, [(11, 5, 3)])
+    failing = {r.check_id: r.failures for r in results if r.failures}
+    want = count(CoprimePair(7, 3), 32)
+    inputs = (("a", 7), ("b", 3), ("d", 6))
+    assert failing == {
+        "lattice_reciprocity_count": [Failure(inputs, want, want + 1)],
+        "lattice_gap_deficit_count": [Failure(inputs, want, want + 1)],
+    }
+
+
+def test_lemma_loop_elapsed_is_within_its_wall_time():
+    pairs = [(a, b) for a, b in verify._grid_pairs(GridSpec(40, 40)) if b < a]
+    t0 = time.perf_counter()
+    results = lattice_threshold_checks(pairs, [(11, 5, 3)])
+    wall = time.perf_counter() - t0
+    assert len(results) == 5 and all(r.elapsed >= 0.0 for r in results)
+    assert sum(r.elapsed for r in results) <= wall
+
+
 def test_lemma_loop_reducer_calls(monkeypatch):
     # one S(a, b, d) per d and one S(b, a, K) per distinct K >= 1, not one
     # S(b, a, K) per d
@@ -407,13 +457,13 @@ SAMPLES_5_5_SEED3 = {
 
 def test_seeded_samples_are_the_same_cases_in_either_chain(monkeypatch):
     seen = {}
-    case = _Recorder.case
+    cases = _Recorder.cases
 
-    def record(self, values, expected, actual):
-        seen.setdefault(self.check_id, []).append(values)
-        case(self, values, expected, actual)
+    def record(self, expected, actual, inputs):
+        seen.setdefault(self.check_id, []).extend(inputs(i) for i in range(len(actual)))
+        cases(self, expected, actual, inputs)
 
-    monkeypatch.setattr(_Recorder, "case", record)
+    monkeypatch.setattr(_Recorder, "cases", record)
     grid = GridSpec(5, 5, seed=3, sample_count=4)
     for chain in (check_lemma_chain, check_equivalence_chain):
         seen.clear()
