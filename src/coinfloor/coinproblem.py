@@ -20,15 +20,18 @@ Gap sums come from the Hilbert series of the semigroup <a, b>: the gaps
 have the generating function G(x) = 1/(1-x) - (1-x^ab)/((1-x^a)(1-x^b)),
 so sum lam**(n-1) * n**m over the gaps is (m!/lam) [t^m] G(lam e^t), one
 power-series coefficient in O(m^2) integer products whatever the size of
-a and b.  Listing the gaps scans an O(ab)-bit mask, and summing over the
-listing costs O(ab) terms; the sums take that route only when the gap
-count is small against m^2.
+a and b.  The listing writes each residue class's run of gaps, mod the
+smaller coin, as packed rows, with no int made for a representable number;
+summing over it costs one term per gap, and the sums take that route only
+when the gap count is small against m^2.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from math import comb, factorial, lcm
+import struct
+from bisect import bisect_left
+from itertools import chain
+from math import comb, factorial, lcm, log2
 
 from .core import CoprimePair, _Record
 from .floorsum import fast_floor_sum
@@ -203,29 +206,87 @@ def best2_count(p: CoprimePair, d: int) -> tuple[int, int]:
     return k, n0
 
 
-def _representable_mask(a: int, b: int, limit: int) -> int:
-    # Bit n of the result is set iff n <= limit is representable.  Doubling
-    # the shift folds in all multiples of a, then all multiples of b, in
-    # O(log limit) big-integer operations.
-    mask = (1 << (limit + 1)) - 1
-    bits = 1
-    for step in (a, b):
-        shift = step
-        while shift <= limit:
-            bits |= bits << shift
-            shift <<= 1
-        bits &= mask
-    return bits
+# The listing packs each gap into a 32-bit little-endian field.  The largest
+# gap, a*b - a - b = 2G - 1, is below 2**21 for G <= _GAPS_MAX gaps, so
+# adding to every field of packed rows never carries into the next field.
+# Bands of fewer than _DOUBLED_ROWS rows are written a row at a time, longer
+# ones doubled into blocks of under _BLOCK_BITS bits.
+_DOUBLED_ROWS = 8
+_BLOCK_BITS = 2**20
+# A listing of more gaps is unpacked _SLICE_GAPS at a time, each slice's
+# bytes freed as its ints are made, so that the two are never all held.
+_SLICE_GAPS = 2**16
+# Most gaps nonrepresentable_set lists (its time and memory: see the README).
+_GAPS_MAX = 10**6
 
 
-def _gap_bits(a: int, b: int) -> int:
-    """Bit n is set iff n is a gap of (a, b); 0 when a coin is 1."""
-    top = a * b - a - b
-    return ((1 << (top + 1)) - 1) ^ _representable_mask(a, b, top)
+def nonrepresentable_set(p: CoprimePair) -> NonRepSet:
+    """Every gap of (a, b), ascending: (a-1)(b-1)/2 of them, the largest
+    a*b - a - b, none when a coin is 1.  More than _GAPS_MAX (10**6) gaps
+    raise ValueError before any work.
+
+    With B = min(a, b) and A = max(a, b), the class of A*x mod B
+    (0 <= x < B) first reaches a representable number at A*x (the
+    canonical solution), so it holds floor(A*x/B) gaps, B apart.  These
+    heights rise with x: row k, the n in [k*B, (k+1)*B), holds
+    k*B + (A*x mod B) for each x with floor(A*x/B) > k, and the rows between
+    two heights form a band with one set of residues.  A row is the one
+    below plus B in every field, and a long band doubles: rows m .. 2m-1
+    are rows 0 .. m-1 plus m*B.  No representable number is visited, the
+    Python-level steps are O(B log(A/B)), and struct.unpack makes one int
+    per gap, into a tuple allocated once.
+    """
+    a, b = p.a, p.b
+    count = (a - 1) * (b - 1) // 2
+    if count > _GAPS_MAX:
+        raise ValueError(f"({a}, {b}) has {count} gaps, over the listing limit of "
+                         f"{_GAPS_MAX}; sylvester_sum_power gives their count and power sums")
+    big, small = max(a, b), min(a, b)
+    live = list(range(1, small))  # the residues with a gap in the current row, ascending
+    row = int.from_bytes(struct.pack(f"<{small - 1}I", *live), "little")  # row 0
+    step = int.from_bytes(struct.pack("<I", small) * (small - 1), "little")  # B in every field
+    data, at, bottom, width = bytearray(4 * count), 0, 0, 4 * (small - 1)
+    for x in range(1, small):
+        top = big * x // small  # this band is rows bottom .. top - 1, each `width` bytes
+        n = top - bottom
+        if n < _DOUBLED_ROWS:
+            for _ in range(n):
+                data[at:at + width] = row.to_bytes(width, "little")
+                at += width
+                row += step
+        else:
+            bits, block, m, rise = 8 * width, row, 1, step  # m rows, and m*B in every field of them
+            while 2 * m <= n and bits * m < _BLOCK_BITS:
+                block |= (block + rise) << bits * m
+                rise = (rise | rise << bits * m) << 1
+                m *= 2
+            for _ in range(n // m):
+                data[at:at + width * m] = block.to_bytes(width * m, "little")
+                at += width * m
+                block += rise
+            if n % m:  # the first n % m rows of the next block
+                size = width * (n % m)
+                data[at:at + size] = (block & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+                at += size
+            row += n * step
+        bottom = top
+        # the class of A*x has no gap from row `top` on: drop its field
+        i = bisect_left(live, big * x % small)
+        del live[i]
+        row = row & ((1 << 32 * i) - 1) | row >> 32 * (i + 1) << 32 * i
+        step >>= 32
+        width -= 4
+    if count <= _SLICE_GAPS:
+        return NonRepSet(pair=p, gaps=struct.unpack(f"<{count}I", data))
+    return NonRepSet(pair=p, gaps=tuple(_Sized(chain.from_iterable(_unpacked(data)), count)))
 
 
-# maps the digits of bin() to the bytes 0 and 1, which compress() reads as flags
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+def _unpacked(data: bytearray):
+    # tuples of up to _SLICE_GAPS gaps, dropping each slice from data when done
+    while data:
+        size = min(len(data), 4 * _SLICE_GAPS)
+        yield struct.unpack_from(f"<{size // 4}I", data)
+        del data[:size]
 
 
 class _Sized:
@@ -239,29 +300,6 @@ class _Sized:
 
     def __length_hint__(self) -> int:
         return self._hint
-
-
-# Most gaps nonrepresentable_set lists: at the limit the listing takes about
-# 0.1 s and 45 MB (see the README).
-_GAPS_MAX = 10**6
-
-
-def nonrepresentable_set(p: CoprimePair) -> NonRepSet:
-    """Enumerate every gap of (a, b).
-
-    There are (a-1)(b-1)/2 of them and the largest is a*b - a - b; pairs
-    containing a 1 have no gaps at all.  A pair with more than _GAPS_MAX
-    (10**6) gaps raises ValueError before any work.
-    """
-    a, b = p.a, p.b
-    count = (a - 1) * (b - 1) // 2
-    if count > _GAPS_MAX:
-        raise ValueError(f"({a}, {b}) has {count} gaps, over the listing limit of "
-                         f"{_GAPS_MAX}; sylvester_sum_power gives their count and power sums")
-    top = a * b - a - b
-    flags = bin(_gap_bits(a, b))[:1:-1].encode().translate(_BIT_FLAGS)
-    gaps = tuple(_Sized(compress(range(top + 1), flags), count))
-    return NonRepSet(pair=p, gaps=gaps)
 
 
 def _reciprocal(P: int, Q: int, n: int) -> tuple[list[int], int]:
@@ -333,6 +371,27 @@ def _series_moment(a: int, b: int, p: int, q: int, m: int) -> tuple[int, int]:
 # computes for lam != +-1; printing one this size takes a fraction of a second.
 _WEIGHTED_BITS_BUDGET = 2**18
 
+# Most work (2**_gap_sum_work) a gap sum takes on: about 2 s at the 0.02 ns
+# a unit took on a 2-core VM with Python 3.11.7.
+_GAP_SUM_WORK_BUDGET = 10**11
+
+
+def _gap_sum_work(a: int, b: int, lam_bits: int, m: int, listing: bool) -> float:
+    """log2 of the estimated work of a weighted gap sum by its route, in
+    units where a product of two s-bit numbers costs s**1.35 (fitted from
+    3e3 to 4e5 bits); lam_bits is max(bits(p), bits(q)) for lam = p/q, 0
+    for lam = +-1.  The series makes (m+2)**2 products of
+    (m+2) * (bits(ab) + bits(m) + 2*max(a, b)*lam_bits) bits, the listing
+    a term per gap of m*bits(top) + top*lam_bits bits, weighing four
+    products.  Within about 2x of times from 3 ms to 32 s.
+    """
+    top = a * b - a - b
+    if listing:
+        term = m * top.bit_length() + top * lam_bits + 1
+        return 2 + log2((a - 1) * (b - 1) // 2) + 1.35 * log2(term)
+    size = (m + 2) * ((a * b).bit_length() + m.bit_length() + 2 * max(a, b) * lam_bits)
+    return 2 * log2(m + 2) + 1.35 * log2(size)
+
 
 def sylvester_sum(p: CoprimePair) -> int:
     """Sum of all gaps in closed form: (a-1)(b-1)(2ab - a - b - 1) / 12, exactly."""
@@ -358,7 +417,8 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
     runs only when the (a-1)(b-1)/2 gaps are no more than m^2 and the
     listing limit.  For lam = p/q != +-1 the result itself has about
     (ab - a - b) * max(bits(p), bits(q)) bits; past _WEIGHTED_BITS_BUDGET
-    (2**18) the call raises ValueError before any work.
+    (2**18) the call raises ValueError before any work, and so it does
+    past _GAP_SUM_WORK_BUDGET (10**11) units of _gap_sum_work, about 2 s.
     """
     import fractions  # here, not at module level: it loads decimal
 
@@ -371,14 +431,18 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
     if a == 1 or b == 1:
         return fractions.Fraction(0)
     num, den = lam.numerator, lam.denominator
-    if abs(num) != den:  # lam != +-1
-        size = (a * b - a - b) * max(abs(num).bit_length(), den.bit_length())
-        if size > _WEIGHTED_BITS_BUDGET:
-            raise ValueError(f"weighted gap sum would have about {size} bits, "
-                             f"over the budget of {_WEIGHTED_BITS_BUDGET} bits")
-    if (a - 1) * (b - 1) // 2 > min(m * m, _GAPS_MAX):
-        return fractions.Fraction(*_series_moment(a, b, num, den, m))
     top = a * b - a - b
+    lam_bits = 0 if abs(num) == den else max(abs(num).bit_length(), den.bit_length())
+    if top * lam_bits > _WEIGHTED_BITS_BUDGET:
+        raise ValueError(f"weighted gap sum would have about {top * lam_bits} bits, "
+                         f"over the budget of {_WEIGHTED_BITS_BUDGET} bits")
+    listing = (a - 1) * (b - 1) // 2 <= min(m * m, _GAPS_MAX)
+    work = _gap_sum_work(a, b, lam_bits, m, listing)
+    if work > log2(_GAP_SUM_WORK_BUDGET):
+        raise ValueError(f"gap sum at power {m} would take about 2**{work:.0f} units of work, "
+                         f"over the work budget of {_GAP_SUM_WORK_BUDGET}")
+    if not listing:
+        return fractions.Fraction(*_series_moment(a, b, num, den, m))
     gaps = nonrepresentable_set(p).gaps
     return fractions.Fraction(sum(num ** (n - 1) * den ** (top - n) * n**m for n in gaps),
                               den ** (top - 1))

@@ -34,7 +34,6 @@ from operator import itemgetter
 from time import perf_counter
 
 from .coinproblem import (
-    _gap_bits,
     best2_count,
     best_family_point,
     count_lattice_3var,
@@ -77,9 +76,23 @@ _SAMPLE_MAX = 10**9
 # Cases a single-identity check records at a time; bounds its lists.
 _BATCH = 4096
 
-# Largest max(A, B)**2 * min(A, B) of a grid, which a pass's time grows
-# with (see the README); grid 150, at the limit, takes about 15 s.
-_GRID_COST_MAX = 150**3
+# A pass's time grows as max(A, B)**2 * min(A, B) (1.95-2.03 us a unit at
+# grids 60 and 150) plus sum(p**2) over the odd primes p <= max(A, B), from
+# gauss_lemma_sign (82-96 ns a unit to 600 and 1299): weighted 1/22.
+_GAUSS_LEMMA_DIV = 22
+
+# Largest _grid_cost of a grid, that of grid 150: 150**3 + 216282 // 22.
+_GRID_COST_MAX = 3384831
+
+
+def _odd_primes(n: int) -> list[int]:
+    return [p for p in range(3, n + 1, 2) if is_prime(p)]
+
+
+def _grid_cost(a_max: int, b_max: int) -> int:
+    top = max(a_max, b_max)
+    return top**2 * min(a_max, b_max) + sum(p * p for p in _odd_primes(top)) // _GAUSS_LEMMA_DIV
+
 
 TABLE1_PAIR = (29, 23)
 
@@ -112,7 +125,7 @@ class GridSpec(_Record):
     Exhaustive pairs run over the coprime pairs in 1..a_max x 1..b_max
     (the Jacobi suite takes the odd ones); sample_count seeded random large
     cases are added to the checks that can afford them.  A grid whose
-    max(a_max, b_max)**2 * min(a_max, b_max) is over 150**3 is refused.
+    _grid_cost is over that of grid 150 is refused.
     """
 
     _fields = ("a_max", "b_max", "seed", "sample_count")
@@ -121,10 +134,11 @@ class GridSpec(_Record):
                  sample_count: int = 200) -> None:
         if a_max < 2 or b_max < 2:
             raise ValueError(f"a_max and b_max must be >= 2, got ({a_max}, {b_max})")
-        cost = max(a_max, b_max) ** 2 * min(a_max, b_max)
-        if cost > _GRID_COST_MAX:
-            raise ValueError(f"grid ({a_max}, {b_max}) has max(A, B)**2 * min(A, B) = {cost}, "
-                             f"over the limit of 150**3 = {_GRID_COST_MAX}")
+        # the first term alone refuses a large grid before any prime is sought
+        if max(a_max, b_max) ** 2 * min(a_max, b_max) > _GRID_COST_MAX or (
+                _grid_cost(a_max, b_max) > _GRID_COST_MAX):
+            raise ValueError(f"grid ({a_max}, {b_max}): max(A, B)**2 * min(A, B) + sum(p**2 for odd primes "
+                             f"p <= max(A, B)) // {_GAUSS_LEMMA_DIV} is over the limit of {_GRID_COST_MAX}, grid 150's")
         if sample_count < 0:
             raise ValueError(f"sample_count must be >= 0, got {sample_count}")
         vars(self).update(a_max=a_max, b_max=b_max, seed=seed, sample_count=sample_count)
@@ -241,6 +255,22 @@ def _count_by_membership(pair: CoprimePair, k: int) -> int:
     floor-sum route of count_representable_upto."""
     a, b, inv = pair.a, pair.b, pair.inv_a_mod_b
     return sum(1 for n in range(k + 1) if a * (n % b * inv % b) <= n)
+
+
+def _gap_bits(a: int, b: int) -> int:
+    """Bit n is set iff n is a gap of (a, b); 0 when a coin is 1.  An O(ab)
+    oracle, sharing nothing with nonrepresentable_set: doubled shifts fold
+    all multiples of a, then of b, into the bits up to a*b - a - b."""
+    top = a * b - a - b
+    mask = (1 << (top + 1)) - 1
+    bits = 1
+    for step in (a, b):
+        shift = step
+        while shift <= top:
+            bits |= bits << shift
+            shift <<= 1
+        bits &= mask
+    return mask ^ bits
 
 
 def _grid_pairs(g: GridSpec, step: int = 1) -> list[tuple[int, int]]:
@@ -477,7 +507,7 @@ def check_jacobi_suite(g: GridSpec) -> list[CheckResult]:
     odd_b = range(1, g.b_max + 1, 2)
     pairs = _grid_pairs(g, step=2)
     pairs += [_sample_coprime(rng, odd=True) for _ in range(g.sample_count)]
-    primes = [p for p in range(3, max(g.a_max, g.b_max) + 1, 2) if is_prime(p)]
+    primes = _odd_primes(max(g.a_max, g.b_max))
     return [
         eisenstein_vs_definition(pairs),
         jacobi_reciprocity(pairs),

@@ -131,6 +131,18 @@ def brute_representables(a: int, b: int, limit: int) -> set[int]:
     return out
 
 
+def gaps_by_set_formula(a: int, b: int) -> list[int]:
+    """The gaps of coprime a, b, ascending, as the set {ab - ia - jb > 0 :
+    i, j >= 1} (Sylvester): for each i < b the run ab - ia - b, ... down
+    by b while positive, then one sort.  No residue classes, no mask."""
+    ab = a * b
+    out = []
+    for i in range(1, b):
+        out.extend(range(ab - i * a - b, 0, -b))
+    out.sort()
+    return out
+
+
 def brute_lattice3(a: int, b: int, target: int) -> int:
     """Number of (x, y, z) >= 0 with a*x + b*y + z = target, by double loop."""
     count = 0

@@ -329,7 +329,16 @@ def test_verify_past_its_grid_limit_is_refused_at_once():
     elapsed, proc = _timed_process("verify", "--grid", "2", "1000000000")
     assert elapsed < 1.0
     assert proc.returncode == 1 and proc.stdout == ""
-    assert "limit of 150**3 = 3375000" in proc.stderr and "Traceback" not in proc.stderr
+    assert "limit of 3384831" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_verify_thin_grid_past_its_gauss_lemma_term_is_refused_at_once():
+    # max(A, B)**2 * min(A, B) is under 150**3 here, but gauss_lemma_sign's
+    # residue counts over the primes to 1299 took 8 s of a 9 s pass
+    elapsed, proc = _timed_process("verify", "--grid", "2", "1299")
+    assert elapsed < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "limit of 3384831" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_jacobi_by_definition_past_its_budget_is_refused_at_once():
@@ -346,6 +355,15 @@ def test_weighted_sum_past_the_output_budget_is_refused_at_once():
     assert elapsed < 1.0
     assert proc.returncode == 1 and proc.stdout == ""
     assert "budget of 262144 bits" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_gap_power_sum_past_the_work_budget_is_refused_at_once():
+    # m**2 is over the 500 500 gaps, so this would sum 500 500 powers of
+    # about 6 000 digits each: killed at 15 s before the budget
+    elapsed, proc = _timed_process("gaps", "1001", "1003", "--power", "1000")
+    assert elapsed < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "work budget of 100000000000" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_listings_past_their_limits_are_refused_at_once():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coinfloor import coinproblem, floorsum
+from coinfloor import coinproblem, floorsum, verify
 from coinfloor.coinproblem import (
     _series_moment,
     BestFamilyPoint,
@@ -33,6 +33,7 @@ from oracle import (
     brute_representables,
     floor_sum_iterative,
     gap_power_sum_bernoulli,
+    gaps_by_set_formula,
     rep_count_shift_check,
 )
 from test_floorsum import _FIB_A, _FIB_M  # consecutive Fibonacci numbers below 1e300
@@ -366,6 +367,63 @@ def test_nonrepresentable_set_vs_brute_force():
             assert nonrepresentable_set(CoprimePair(a, b)).gaps == expected
 
 
+def _mask_listing(a, b):
+    # verify's O(ab)-bit oracle, read off its binary digits
+    return [n for n, bit in enumerate(bin(verify._gap_bits(a, b))[:1:-1]) if bit == "1"]
+
+
+def _assert_listing(a, b, want):
+    for pair in (CoprimePair(a, b), CoprimePair(b, a)):
+        gaps = nonrepresentable_set(pair).gaps
+        assert type(gaps) is tuple
+        assert all(type(n) is int for n in gaps)
+        assert list(gaps) == want, (a, b)
+
+
+def test_listing_matches_the_mask_oracle_below_120():
+    for a in range(1, 120):
+        for b in range(1, a + 1):
+            if gcd(a, b) == 1:
+                _assert_listing(a, b, _mask_listing(a, b))
+
+
+def _listing_shapes(rng):
+    # (B, A) with B = min and A = max: the class of A*x mod B has
+    # floor(A*x/B) gaps, so A = q*B + 1 makes every band q rows tall
+    for small in (2, 3, 7):
+        for _ in range(3):
+            big = rng.randrange(small + 1, 2 * 10**5 * 2 // (small - 1))
+            if gcd(big, small) == 1:
+                yield small, big
+    for _ in range(4):  # A close to B: bands of one or two rows
+        small = rng.randrange(100, 630)
+        big = small + rng.choice((1, 2, 3, 5))
+        if gcd(big, small) == 1:
+            yield small, big
+    for rows in (7, 8, 9):  # the cut-over from rows to doubled blocks
+        for small in (rng.randrange(2, 60), rng.randrange(60, 200)):
+            yield small, rows * small + 1
+            yield small, rows * small - 1  # one band of rows - 1, the rest of rows
+
+
+def test_listing_matches_the_set_formula_on_seeded_shapes():
+    rng = random.Random(20)
+    shapes = list(_listing_shapes(rng))
+    assert max((a - 1) * (b - 1) // 2 for a, b in shapes) > coinproblem._SLICE_GAPS
+    for small, big in shapes:
+        assert (small - 1) * (big - 1) // 2 <= 2 * 10**5
+        _assert_listing(small, big, gaps_by_set_formula(big, small))
+
+
+def test_listing_at_the_limit_matches_the_mask():
+    # one band of 10**6 rows, and 1412 bands of one or two rows
+    for a, b in ((2, 2 * 10**6 + 1), (1413, 1417)):
+        gaps = nonrepresentable_set(CoprimePair(a, b)).gaps
+        assert type(gaps) is tuple and len(gaps) == (a - 1) * (b - 1) // 2
+        assert all(type(n) is int for n in gaps)
+        assert list(gaps) == _mask_listing(a, b)
+
+
 def test_gap_symmetry():
     # n is a gap iff (a*b - a - b) - n is not
     for a in range(2, 41):
@@ -448,6 +506,29 @@ def test_weighted_sum_output_budget():
     gaps = nonrepresentable_set(pair).gaps
     assert weighted_sylvester_sum(pair, -1, 1) == sum(n if n % 2 else -n for n in gaps)
     assert weighted_sylvester_sum(CoprimePair(1, 10**6), half, 1) == 0
+
+
+def test_gap_sum_work_budget():
+    # refused before any work: the listing route at (1001, 1003) took 14-16 s
+    # at m = 708, the series at (301, 311), lam = -2/3, m = 160 took 12 s
+    # and the listing at (301, 311), lam = 1/2, m = 216 took 7.4 s
+    for pair, lam, m in (((1001, 1003), 1, 1000), ((1001, 1003), 1, 708), ((1001, 1003), -1, 600),
+                         ((301, 311), Fraction(-2, 3), 160), ((301, 311), Fraction(1, 2), 216),
+                         ((10**299 + 1, 10**299 + 2), 1, 200), ((3, 5), 1, 10**400)):
+        with pytest.raises(ValueError, match="over the work budget of 100000000000"):
+            weighted_sylvester_sum(CoprimePair(*pair), lam, m)
+    with pytest.raises(ValueError, match="over the work budget"):
+        sylvester_sum_power(CoprimePair(1001, 1003), 1000)
+    # estimated inside it (each took at most about 1.3 s), by either route
+    for (a, b), lam, m, listing in (((1001, 1003), 1, 400, False), ((301, 311), Fraction(-2, 3), 80, False),
+                                    ((301, 311), 1, 216, True), ((101, 103), Fraction(1, 2), 72, True),
+                                    ((10**100 + 1, 10**100 + 3), 1, 100, False), ((3, 5), 1, 100_000, True)):
+        lam = Fraction(lam)
+        lam_bits = 0 if abs(lam) == 1 else max(abs(lam.numerator).bit_length(), lam.denominator.bit_length())
+        assert ((a - 1) * (b - 1) // 2 <= m * m) == listing
+        assert 2 ** coinproblem._gap_sum_work(a, b, lam_bits, m, listing) <= coinproblem._GAP_SUM_WORK_BUDGET
+    assert weighted_sylvester_sum(CoprimePair(31, 37), Fraction(1, 2), 40) == sum(
+        Fraction(1, 2) ** (n - 1) * n**40 for n in gaps_by_set_formula(31, 37))
 
 
 _WEIGHTS = st.one_of(

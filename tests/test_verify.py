@@ -89,12 +89,16 @@ def test_gridspec_validation():
         GridSpec(b_max=0)
     with pytest.raises(ValueError):
         GridSpec(sample_count=-1)
-    # max(A, B)**2 * min(A, B) is at most 150**3: grid 150 and thin grids
-    # up to it pass, anything past it is refused before any work
-    for a_max, b_max in ((150, 150), (2, 1299), (1299, 2), (20, 410)):
+    # max(A, B)**2 * min(A, B) + sum(p**2, odd primes p <= max(A, B)) // 22
+    # is at most its value at grid 150, 150**3 + 216282 // 22: grid 150 and
+    # thin grids up to it pass, anything past it is refused before any work
+    assert verify._GRID_COST_MAX == verify._grid_cost(150, 150) == 150**3 + 216282 // 22
+    for a_max, b_max in ((150, 150), (2, 900), (900, 2), (20, 300), (300, 20), (60, 60), (100, 160)):
         GridSpec(a_max, b_max)
-    for a_max, b_max in ((151, 150), (150, 151), (2, 1300), (1300, 2), (2, 10**9)):
-        with pytest.raises(ValueError, match=r"over the limit of 150\*\*3 = 3375000"):
+    # the old limit's thinnest grids, refused for their gauss_lemma_sign cases
+    for a_max, b_max in ((2, 1299), (1299, 2), (20, 410), (2, 920), (151, 150), (150, 151), (2, 1300),
+                         (1300, 2), (2, 10**9)):
+        with pytest.raises(ValueError, match="over the limit of 3384831"):
             GridSpec(a_max, b_max)
 
 
