@@ -121,7 +121,9 @@ def _cmd_best(args: argparse.Namespace) -> int:
     columns = ["alpha", "beta", "k", "n0"]
     inputs = {"a": args.a, "b": args.b}
     if args.all:
-        # the range below is empty when b >= a, so check what --alpha would
+        # best_family_point's own check, made first: the alpha range below
+        # is empty when a <= 2, and a pair past the row limit would get the
+        # limit's message instead
         if args.b >= args.a:
             raise ValueError(f"need b < a, got ({args.a}, {args.b})")
         alphas = range(2 - args.a % 2, args.a, 2)  # from the smallest alpha > 0 with a's parity

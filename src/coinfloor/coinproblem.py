@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from itertools import chain
 from math import comb, factorial, lcm, log2
 
 from .core import CoprimePair, _Record
@@ -213,9 +212,6 @@ def best2_count(p: CoprimePair, d: int) -> tuple[int, int]:
 # ones doubled into blocks of under _BLOCK_BITS bits.
 _DOUBLED_ROWS = 8
 _BLOCK_BITS = 2**20
-# A listing of more gaps is unpacked _SLICE_GAPS at a time, each slice's
-# bytes freed as its ints are made, so that the two are never all held.
-_SLICE_GAPS = 2**16
 # Most gaps nonrepresentable_set lists (its time and memory: see the README).
 _GAPS_MAX = 10**6
 
@@ -276,30 +272,7 @@ def nonrepresentable_set(p: CoprimePair) -> NonRepSet:
         row = row & ((1 << 32 * i) - 1) | row >> 32 * (i + 1) << 32 * i
         step >>= 32
         width -= 4
-    if count <= _SLICE_GAPS:
-        return NonRepSet(pair=p, gaps=struct.unpack(f"<{count}I", data))
-    return NonRepSet(pair=p, gaps=tuple(_Sized(chain.from_iterable(_unpacked(data)), count)))
-
-
-def _unpacked(data: bytearray):
-    # tuples of up to _SLICE_GAPS gaps, dropping each slice from data when done
-    while data:
-        size = min(len(data), 4 * _SLICE_GAPS)
-        yield struct.unpack_from(f"<{size // 4}I", data)
-        del data[:size]
-
-
-class _Sized:
-    # tuple() sizes its result from __length_hint__ and so allocates once;
-    # the items still come from the iterator alone
-    def __init__(self, items, hint: int) -> None:
-        self._items, self._hint = items, hint
-
-    def __iter__(self):
-        return self._items
-
-    def __length_hint__(self) -> int:
-        return self._hint
+    return NonRepSet(pair=p, gaps=struct.unpack(f"<{count}I", data))
 
 
 def _reciprocal(P: int, Q: int, n: int) -> tuple[list[int], int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .core import factorize, is_prime
+from .core import _FACTOR_MAX_N, factorize, is_prime
 from .floorsum import fast_floor_sum
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "jacobi_reciprocity_check",
 ]
 
-
-# Largest denominator jacobi_by_definition factorizes.
-_FACTOR_MAX_B = 10**14
 
 # Largest modulus gauss_lemma_count runs its O(p) count for (about a second).
 _GAUSS_MAX_P = 10**7
@@ -60,13 +57,14 @@ def jacobi_by_definition(a: int, b: int) -> int:
     """Jacobi symbol (a/b) as the product of Legendre symbols over the
     prime factorization of the odd denominator b; (a/1) = +1.
 
-    Factorizing is trial division, O(sqrt(b)), so b over _FACTOR_MAX_B
-    (10**14, under a second) raises ValueError before any work.
+    Factorizing is trial division, O(sqrt(b)), so b over factorize's
+    budget _FACTOR_MAX_N (10**14, under a second) raises ValueError
+    before any work.
     """
     if b < 1 or b % 2 == 0:
         raise ValueError(f"denominator must be a positive odd integer, got {b}")
-    if b > _FACTOR_MAX_B:
-        raise ValueError(f"denominator b = {b} is over the budget of {_FACTOR_MAX_B} "
+    if b > _FACTOR_MAX_N:
+        raise ValueError(f"denominator b = {b} is over the budget of {_FACTOR_MAX_N} "
                          "for factorizing by trial division")
     result = 1
     for prime, mult in factorize(b):

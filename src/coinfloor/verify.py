@@ -6,8 +6,8 @@ returns its CheckResult; identities that share per-case work share one
 function with a result each.  The chains (check_equivalence_chain,
 check_lemma_chain, check_jacobi_suite) only build the cases from a
 GridSpec and compose these functions: the grid's pairs plus, for checks
-whose evaluators are sublinear, ``sample_count`` cases up to ~1e9 from a
-seeded RNG, so identical GridSpecs always produce identical outcomes.
+whose evaluators are sublinear, _SAMPLE_COUNT (200) cases up to ~1e9 from
+a seeded RNG, so identical GridSpecs always produce identical outcomes.
 
 The chains follow the paper.  The equivalence chain checks Gauss's
 half-index reciprocity and its equivalence with Sylvester's gap count.
@@ -70,8 +70,10 @@ __all__ = [
     "TABLE1_ROWS",
 ]
 
-# Upper bound for the seeded random large-parameter cases.
+# Upper bound for the seeded random large-parameter cases, and how many
+# of them each sampled check takes.
 _SAMPLE_MAX = 10**9
+_SAMPLE_COUNT = 200
 
 # Cases a single-identity check records at a time; bounds its lists.
 _BATCH = 4096
@@ -123,15 +125,14 @@ class GridSpec(_Record):
     """Parameter grid for the identity checks.
 
     Exhaustive pairs run over the coprime pairs in 1..a_max x 1..b_max
-    (the Jacobi suite takes the odd ones); sample_count seeded random large
-    cases are added to the checks that can afford them.  A grid whose
+    (the Jacobi suite takes the odd ones); _SAMPLE_COUNT seeded random
+    large cases are added to the checks that can afford them.  A grid whose
     _grid_cost is over that of grid 150 is refused.
     """
 
-    _fields = ("a_max", "b_max", "seed", "sample_count")
+    _fields = ("a_max", "b_max", "seed")
 
-    def __init__(self, a_max: int = 60, b_max: int = 60, seed: int = 0,
-                 sample_count: int = 200) -> None:
+    def __init__(self, a_max: int = 60, b_max: int = 60, seed: int = 0) -> None:
         if a_max < 2 or b_max < 2:
             raise ValueError(f"a_max and b_max must be >= 2, got ({a_max}, {b_max})")
         # the first term alone refuses a large grid before any prime is sought
@@ -139,9 +140,7 @@ class GridSpec(_Record):
                 _grid_cost(a_max, b_max) > _GRID_COST_MAX):
             raise ValueError(f"grid ({a_max}, {b_max}): max(A, B)**2 * min(A, B) + sum(p**2 for odd primes "
                              f"p <= max(A, B)) // {_GAUSS_LEMMA_DIV} is over the limit of {_GRID_COST_MAX}, grid 150's")
-        if sample_count < 0:
-            raise ValueError(f"sample_count must be >= 0, got {sample_count}")
-        vars(self).update(a_max=a_max, b_max=b_max, seed=seed, sample_count=sample_count)
+        vars(self).update(a_max=a_max, b_max=b_max, seed=seed)
 
 
 class Failure(_Record):
@@ -316,11 +315,6 @@ def half_index_reciprocity(pairs: Iterable[tuple[int, int]]) -> CheckResult:
     return _check("half_index_reciprocity", ("a", "b"), pairs, strong_residual)
 
 
-def swap_identity_all_d(triples: Iterable[tuple[int, int, int]]) -> CheckResult:
-    """reciprocity_residual(a, b, d) == 0 for coprime b < a and 1 <= d < a."""
-    return _check("swap_identity_all_d", ("a", "b", "d"), triples, reciprocity_residual)
-
-
 def gap_count_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
     """For coprime a, b: the bridge between the gap count and the two
     half-index floor sums, its pure parity reformulation, and the gap
@@ -465,10 +459,10 @@ def gauss_lemma_sign(cases: Iterable[tuple[int, int]]) -> CheckResult:
 
 def _samples(g: GridSpec) -> tuple[list[tuple[int, ...]], ...]:
     """The seeded large cases of gauss_reciprocity_sum, half_index_reciprocity
-    and swap_identity_all_d, sample_count each, drawn in that order from one
-    RNG, so that either chain gets the same cases when it runs alone."""
+    and swap_identity_all_d, _SAMPLE_COUNT each, drawn in that order from
+    one RNG, so that either chain gets the same cases when it runs alone."""
     rng = random.Random(g.seed)
-    samples = range(g.sample_count)
+    samples = range(_SAMPLE_COUNT)
     return ([_sample_coprime(rng, odd=True) for _ in samples],
             [_sample_coprime(rng) for _ in samples],
             [_sample_swap(rng) for _ in samples])
@@ -476,7 +470,7 @@ def _samples(g: GridSpec) -> tuple[list[tuple[int, ...]], ...]:
 
 def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
     """Gauss's half-index reciprocity and its equivalence with Sylvester's
-    gap count over the grid; the first two also take sample_count seeded
+    gap count over the grid; the first two also take _SAMPLE_COUNT seeded
     large cases each."""
     pairs = _grid_pairs(g)
     gauss, half, _ = _samples(g)
@@ -490,7 +484,7 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
 def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
     """The lattice count at the half line, then the paper's generalization
     end to end: the all-d reciprocity over the grid's (a, b, d) with b < a
-    plus sample_count seeded large triples, and the lattice and threshold
+    plus _SAMPLE_COUNT seeded large triples, and the lattice and threshold
     counts built on it."""
     pairs = _grid_pairs(g)
     return [
@@ -501,12 +495,12 @@ def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
 
 def check_jacobi_suite(g: GridSpec) -> list[CheckResult]:
     """Symbol engine versus its oracles over the odd coprime grid; the first
-    two share the grid's pairs plus sample_count seeded large pairs."""
+    two share the grid's pairs plus _SAMPLE_COUNT seeded large pairs."""
     rng = random.Random(g.seed)
     odd_a = range(1, g.a_max + 1, 2)
     odd_b = range(1, g.b_max + 1, 2)
     pairs = _grid_pairs(g, step=2)
-    pairs += [_sample_coprime(rng, odd=True) for _ in range(g.sample_count)]
+    pairs += [_sample_coprime(rng, odd=True) for _ in range(_SAMPLE_COUNT)]
     primes = _odd_primes(max(g.a_max, g.b_max))
     return [
         eisenstein_vs_definition(pairs),

@@ -34,10 +34,10 @@ from coinfloor.verify import (
     gauss_reciprocity_sum,
     half_index_reciprocity,
     jacobi_reciprocity,
+    lattice_threshold_checks,
     reproduce_section5_example,
     reproduce_table1,
     split_parity_checks,
-    swap_identity_all_d,
 )
 from oracle import floor_sum_iterative, floor_sum_terms, naive_prefix
 
@@ -85,11 +85,12 @@ def test_criterion_3_reciprocity_identities(capsys):
         half_index_reciprocity(
             (a, b) for a in range(1, 201) for b in range(1, 201) if gcd(a, b) == 1
         ),
-        swap_identity_all_d(
+        # swap_identity_all_d alone: one reciprocity_residual per triple
+        lattice_threshold_checks((), (
             (a, b, d)
             for a in range(2, 101) for b in range(1, a) if gcd(a, b) == 1
             for d in range(1, a)
-        ),
+        ))[0],
     ]
     for r in results:
         assert r.passed, (r.check_id, r.failures[:3])

@@ -1,9 +1,13 @@
 """Tests for representability counts, the threshold-count family, and gap sums."""
 
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -409,7 +413,6 @@ def _listing_shapes(rng):
 def test_listing_matches_the_set_formula_on_seeded_shapes():
     rng = random.Random(20)
     shapes = list(_listing_shapes(rng))
-    assert max((a - 1) * (b - 1) // 2 for a, b in shapes) > coinproblem._SLICE_GAPS
     for small, big in shapes:
         assert (small - 1) * (big - 1) // 2 <= 2 * 10**5
         _assert_listing(small, big, gaps_by_set_formula(big, small))
@@ -422,6 +425,35 @@ def test_listing_at_the_limit_matches_the_mask():
         assert type(gaps) is tuple and len(gaps) == (a - 1) * (b - 1) // 2
         assert all(type(n) is int for n in gaps)
         assert list(gaps) == _mask_listing(a, b)
+
+
+_PEAK_PROBE = """
+from coinfloor.coinproblem import nonrepresentable_set
+from coinfloor.core import CoprimePair
+
+def hwm():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = hwm()
+gaps = nonrepresentable_set(CoprimePair(1413, 1417)).gaps
+print(len(gaps), hwm() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+def test_listing_at_the_limit_holds_one_copy_of_the_gaps():
+    # the packed bytes (4 MB) are held with the tuple and its ints (36 MB)
+    # until the unpack returns, about 42 MiB of growth; a second copy of
+    # the gaps, such as a list before the tuple, would pass 48 MiB
+    src = str(Path(coinproblem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_PROBE], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, grown_kib = map(int, proc.stdout.split())
+    assert count == 1412 * 1416 // 2
+    assert grown_kib < 48 * 1024, grown_kib
 
 
 def test_gap_symmetry():

@@ -34,9 +34,9 @@ CASES = {
         "NonRepSet(pair=CoprimePair(a=3, b=5), gaps=(1, 2, 4, 7))",
     ),
     "GridSpec": (
-        GridSpec(a_max=10, b_max=12), GridSpec(10, 12, 0, 200), GridSpec(10, 12, seed=1),
-        {"a_max": 10, "b_max": 12, "seed": 0, "sample_count": 200},
-        "GridSpec(a_max=10, b_max=12, seed=0, sample_count=200)",
+        GridSpec(a_max=10, b_max=12), GridSpec(10, 12, 0), GridSpec(10, 12, seed=1),
+        {"a_max": 10, "b_max": 12, "seed": 0},
+        "GridSpec(a_max=10, b_max=12, seed=0)",
     ),
     "Failure": (
         FAILURE, Failure((("a", 1),), 0, 1), Failure((("a", 1),), 0, 2),

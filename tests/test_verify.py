@@ -87,8 +87,6 @@ def test_gridspec_validation():
         GridSpec(a_max=1)
     with pytest.raises(ValueError):
         GridSpec(b_max=0)
-    with pytest.raises(ValueError):
-        GridSpec(sample_count=-1)
     # max(A, B)**2 * min(A, B) + sum(p**2, odd primes p <= max(A, B)) // 22
     # is at most its value at grid 150, 150**3 + 216282 // 22: grid 150 and
     # thin grids up to it pass, anything past it is refused before any work
@@ -102,8 +100,9 @@ def test_gridspec_validation():
             GridSpec(a_max, b_max)
 
 
-def test_equivalence_chain_passes():
-    grid = GridSpec(a_max=30, b_max=30, sample_count=25)
+def test_equivalence_chain_passes(monkeypatch):
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 25)
+    grid = GridSpec(a_max=30, b_max=30)
     results = check_equivalence_chain(grid)
     assert [r.check_id for r in results] == [
         "gauss_reciprocity_sum",
@@ -118,14 +117,16 @@ def test_equivalence_chain_passes():
         assert r.elapsed >= 0.0
 
 
-def test_equivalence_chain_single_pair_grid():
+def test_equivalence_chain_single_pair_grid(monkeypatch):
     # the (29, 23) running pair appears inside any grid that reaches it
-    results = check_equivalence_chain(GridSpec(a_max=29, b_max=23, sample_count=0))
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 0)
+    results = check_equivalence_chain(GridSpec(a_max=29, b_max=23))
     assert all(r.passed for r in results)
 
 
-def test_lemma_chain_passes():
-    results = check_lemma_chain(GridSpec(a_max=25, b_max=25, sample_count=0))
+def test_lemma_chain_passes(monkeypatch):
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 0)
+    results = check_lemma_chain(GridSpec(a_max=25, b_max=25))
     assert [r.check_id for r in results] == [
         "lattice_halfline_count",
         "swap_identity_all_d",
@@ -139,10 +140,11 @@ def test_lemma_chain_passes():
         assert r.cases_run > 0
 
 
-def test_chain_elapsed_values_are_disjoint():
+def test_chain_elapsed_values_are_disjoint(monkeypatch):
     # checks sharing one loop split its time, so their reports add up to
     # the chain's wall time instead of each repeating it
-    grid = GridSpec(a_max=25, b_max=25, sample_count=20)
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 20)
+    grid = GridSpec(a_max=25, b_max=25)
     for chain in (check_equivalence_chain, check_lemma_chain, check_jacobi_suite):
         t0 = time.perf_counter()
         results = chain(grid)
@@ -151,8 +153,9 @@ def test_chain_elapsed_values_are_disjoint():
         assert 0.5 * wall <= reported <= wall, (chain.__name__, reported, wall)
 
 
-def test_jacobi_suite_passes():
-    results = check_jacobi_suite(GridSpec(a_max=30, b_max=30, sample_count=10))
+def test_jacobi_suite_passes(monkeypatch):
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 10)
+    results = check_jacobi_suite(GridSpec(a_max=30, b_max=30))
     assert [r.check_id for r in results] == [
         "eisenstein_vs_definition",
         "jacobi_reciprocity",
@@ -225,7 +228,8 @@ def test_a_fault_in_a_shared_split_term_reaches_every_triple_that_reads_it(monke
     fast_floor_sum = verify.fast_floor_sum
     monkeypatch.setattr(verify, "fast_floor_sum",
                         lambda a, b, d: fast_floor_sum(a, b, d) + ((a, b, d) == (45, 7, 22)))
-    results = run_suites("all", GridSpec(8, 16, sample_count=0))
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 0)
+    results = run_suites("all", GridSpec(8, 16))
     failing = {r.check_id: [dict(f.inputs) for f in r.failures] for r in results if r.failures}
     assert failing == {
         "denominator_split_parity": [{"a": 7, "b": b, "c": c} for b, c in ((3, 15), (5, 9), (9, 5), (15, 3))],
@@ -271,7 +275,7 @@ def test_jacobi_suite_reducer_calls(monkeypatch):
     terms = sum(len({n for b, c in product(odd, odd) if gcd(a, b * c) == 1 for n in (b, c, b * c)})
                 for a in odd)
     pairs = results[0].cases_run
-    assert pairs == 83 + grid.sample_count
+    assert pairs == 83 + verify._SAMPLE_COUNT
     assert len(calls) == 3 * pairs + 2 * terms == 1597
 
 
@@ -279,6 +283,9 @@ def test_gridspec_has_no_odd_only_option():
     # the Jacobi suite runs the odd grid; the other checks take every pair
     with pytest.raises(TypeError):
         GridSpec(odd_only=True)
+    # every sampled check draws verify._SAMPLE_COUNT cases
+    with pytest.raises(TypeError):
+        GridSpec(sample_count=0)
 
 
 def test_reproduce_table1():
@@ -295,15 +302,17 @@ def test_reproduce_section5_example():
     assert result.passed
 
 
-def test_determinism_same_seed_same_outcome():
-    grid = GridSpec(a_max=12, b_max=12, seed=77, sample_count=40)
+def test_determinism_same_seed_same_outcome(monkeypatch):
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 40)
+    grid = GridSpec(a_max=12, b_max=12, seed=77)
     first = run_suites("all", grid)
     second = run_suites("all", grid)
     assert _outcome(first) == _outcome(second)
 
 
-def test_suite_selection():
-    grid = GridSpec(a_max=8, b_max=8, sample_count=0)
+def test_suite_selection(monkeypatch):
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 0)
+    grid = GridSpec(a_max=8, b_max=8)
     frob = {r.check_id for r in run_suites("frobenius", grid)}
     jac = {r.check_id for r in run_suites("jacobi", grid)}
     both = {r.check_id for r in run_suites("all", grid)}
@@ -359,7 +368,8 @@ def test_a_reducer_fault_reaches_every_check_that_reads_it(monkeypatch):
     fast_floor_sum = floorsum.fast_floor_sum
     monkeypatch.setattr(floorsum, "fast_floor_sum",
                         lambda a, b, d: fast_floor_sum(a, b, d) + ((a, b, d) == (7, 3, 5)))
-    results = run_suites("all", GridSpec(8, 8, sample_count=5))
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 5)
+    results = run_suites("all", GridSpec(8, 8))
     failing = {r.check_id: [f.inputs for f in r.failures] for r in results if r.failures}
     fault = [(("a", 7), ("b", 3), ("d", 5))]
     assert failing == {
@@ -383,7 +393,8 @@ def test_a_fault_in_a_shared_swap_term_reaches_every_d_that_reads_it(monkeypatch
     fast_floor_sum = floorsum.fast_floor_sum
     monkeypatch.setattr(floorsum, "fast_floor_sum",
                         lambda a, b, d: fast_floor_sum(a, b, d) + ((a, b, d) == (3, 7, 2)))
-    results = run_suites("all", GridSpec(8, 8, sample_count=0))
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 0)
+    results = run_suites("all", GridSpec(8, 8))
     failing = {r.check_id: [dict(f.inputs) for f in r.failures] for r in results if r.failures}
     fault = [{"a": 7, "b": 3, "d": d} for d in (5, 6)]
     assert failing == {
@@ -442,7 +453,7 @@ def test_lemma_loop_reducer_calls(monkeypatch):
     assert len(calls) == want
 
 
-# The seeded large cases of GridSpec(5, 5, seed=3, sample_count=4), as the
+# The seeded large cases of GridSpec(5, 5, seed=3) at 4 samples, as the
 # suite drew them when all three checks ran in the equivalence chain; each
 # chain draws them from one RNG in this order, whichever chain runs.
 SAMPLES_5_5_SEED3 = {
@@ -468,7 +479,8 @@ def test_seeded_samples_are_the_same_cases_in_either_chain(monkeypatch):
         cases(self, expected, actual, inputs)
 
     monkeypatch.setattr(_Recorder, "cases", record)
-    grid = GridSpec(5, 5, seed=3, sample_count=4)
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 4)
+    grid = GridSpec(5, 5, seed=3)
     for chain in (check_lemma_chain, check_equivalence_chain):
         seen.clear()
         assert all(r.passed for r in chain(grid))
