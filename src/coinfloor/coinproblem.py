@@ -138,7 +138,7 @@ def count_representable_upto(p: CoprimePair, k: int) -> int:
     so that is count_lattice_3var(p, k), O(log b) rounds.  Past it every n
     is representable, and N0 = k + 1 - (a-1)(b-1)/2 with no floor sum.
 
-    verify checks this against the gap listing and the literal membership loop.
+    verify checks this against the gap mask and the literal membership loop.
     """
     if k < 0:
         return 0

@@ -25,13 +25,22 @@ __all__ = [
 ]
 
 
-# Strong-pseudoprime witnesses making the test deterministic for n < 3.3e24,
-# far beyond the supported input range.
+# Strong-pseudoprime witnesses: the primes 2..37 make the test deterministic
+# below _PRIME_MAX, the least strong pseudoprime to all twelve (3.2e23); it is
+# 399165290221 * 798330580441.  Reaching 3.3e24 would take 41 as well.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_MAX = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (fixed-witness strong pseudoprime test)."""
+    """Deterministic primality test (fixed-witness strong pseudoprime test).
+
+    Exact for n < _PRIME_MAX (318665857834031151167461, about 3.2e23); n
+    from there on raises ValueError before any work.
+    """
+    if n >= _PRIME_MAX:
+        raise ValueError(f"n = {n} is not below {_PRIME_MAX}, the least strong pseudoprime "
+                         "to the witnesses 2..37, up to which is_prime is exact")
     if n < 2:
         return False
     for p in _WITNESSES:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from math import gcd
 from operator import itemgetter
 from time import perf_counter
@@ -74,9 +74,6 @@ __all__ = [
 # of them each sampled check takes.
 _SAMPLE_MAX = 10**9
 _SAMPLE_COUNT = 200
-
-# Cases a single-identity check records at a time; bounds its lists.
-_BATCH = 4096
 
 # A pass's time grows as max(A, B)**2 * min(A, B) (1.95-2.03 us a unit at
 # grids 60 and 150) plus sum(p**2) over the odd primes p <= max(A, B), from
@@ -186,8 +183,9 @@ class _Recorder:
     with that case's values as its Failure's inputs.
 
     Cases are recorded in batches, right after the loop that computes
-    them: cases(expected, actual, inputs) compares the two lists with one
-    ``!=`` and asks inputs(i) for a case's values only where position i
+    them: all of a check's cases, or one pair's, or one run of equal a's.
+    cases(expected, actual, inputs) compares the two lists with one ``!=``
+    and asks inputs(i) for a case's values only where position i
     mismatches, so a passing case builds nothing.  ``clock`` is a
     one-item list: when the previous batch of any recorder sharing it was
     recorded, or when it was made.  A batch is charged the time since
@@ -231,18 +229,11 @@ def _zero(*case: int) -> int:
 
 def _check(check_id: str, names: tuple[str, ...], cases: Iterable[tuple[int, ...]],
            actual: Callable[..., object], expected: Callable[..., object] = _zero) -> CheckResult:
-    """One identity over its cases: actual(*case) == expected(*case) for each."""
+    """One identity over its cases, recorded as one batch: actual(*case) == expected(*case) for each."""
     rec = _Recorder(check_id, names)
-    for batch in _batches(cases):
-        rec.cases([expected(*case) for case in batch], [actual(*case) for case in batch], batch.__getitem__)
+    cases = list(cases)
+    rec.cases([expected(*case) for case in cases], [actual(*case) for case in cases], cases.__getitem__)
     return rec.result()
-
-
-def _batches(cases: Iterable[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
-    """The cases as lists of up to _BATCH, in order."""
-    it = iter(cases)
-    while batch := list(islice(it, _BATCH)):
-        yield batch
 
 
 def _naive_floor_sum(a: int, b: int, d: int) -> int:
@@ -323,16 +314,16 @@ def gap_count_checks(pairs: Iterable[tuple[int, int]]) -> list[CheckResult]:
     rec_bridge = _Recorder("gap_count_floor_sum_bridge", ("a", "b"), clock)
     rec_parity = _Recorder("half_product_parity_identity", ("a", "b"), clock)
     rec_card = _Recorder("gap_cardinality", ("a", "b"), clock)
-    for batch in _batches(pairs):
-        # the gaps counted off the bit mask, independently of the closed form
-        n_gaps = [_gap_bits(a, b).bit_count() for a, b in batch]
-        rhs = [(a - 1) * (b // 2) + (b - 1) * (a // 2) for a, b in batch]
-        rec_bridge.cases(rhs, [n + 2 * (fast_floor_sum(a, b, a // 2) + fast_floor_sum(b, a, b // 2))
-                               for n, (a, b) in zip(n_gaps, batch)], batch.__getitem__)
-        # doubled to stay integral; (a-1)(b-1) is even for coprime a, b
-        rec_parity.cases([2 * r for r in rhs], [(a - 1) * (b - 1) + 4 * (a // 2) * (b // 2) for a, b in batch],
-                         batch.__getitem__)
-        rec_card.cases([(a - 1) * (b - 1) // 2 for a, b in batch], n_gaps, batch.__getitem__)
+    pairs = list(pairs)
+    # the gaps counted off the bit mask, independently of the closed form
+    n_gaps = [_gap_bits(a, b).bit_count() for a, b in pairs]
+    rhs = [(a - 1) * (b // 2) + (b - 1) * (a // 2) for a, b in pairs]
+    rec_bridge.cases(rhs, [n + 2 * (fast_floor_sum(a, b, a // 2) + fast_floor_sum(b, a, b // 2))
+                           for n, (a, b) in zip(n_gaps, pairs)], pairs.__getitem__)
+    # doubled to stay integral; (a-1)(b-1) is even for coprime a, b
+    rec_parity.cases([2 * r for r in rhs], [(a - 1) * (b - 1) + 4 * (a // 2) * (b // 2) for a, b in pairs],
+                     pairs.__getitem__)
+    rec_card.cases([(a - 1) * (b - 1) // 2 for a, b in pairs], n_gaps, pairs.__getitem__)
     return [rec_bridge.result(), rec_parity.result(), rec_card.result()]
 
 
@@ -457,15 +448,16 @@ def gauss_lemma_sign(cases: Iterable[tuple[int, int]]) -> CheckResult:
                   lambda a, p: -1 if gauss_lemma_count(a, p) % 2 else 1, legendre_euler)
 
 
-def _samples(g: GridSpec) -> tuple[list[tuple[int, ...]], ...]:
+def _samples(g: GridSpec) -> Iterator[list[tuple[int, ...]]]:
     """The seeded large cases of gauss_reciprocity_sum, half_index_reciprocity
-    and swap_identity_all_d, _SAMPLE_COUNT each, drawn in that order from
-    one RNG, so that either chain gets the same cases when it runs alone."""
+    and swap_identity_all_d, _SAMPLE_COUNT each, drawn in that order from one
+    RNG that all three chains share, so each gets the same cases when it runs
+    alone.  Each list is drawn when read; a chain reads only what it takes."""
     rng = random.Random(g.seed)
     samples = range(_SAMPLE_COUNT)
-    return ([_sample_coprime(rng, odd=True) for _ in samples],
-            [_sample_coprime(rng) for _ in samples],
-            [_sample_swap(rng) for _ in samples])
+    yield [_sample_coprime(rng, odd=True) for _ in samples]
+    yield [_sample_coprime(rng) for _ in samples]
+    yield [_sample_swap(rng) for _ in samples]
 
 
 def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
@@ -473,7 +465,8 @@ def check_equivalence_chain(g: GridSpec) -> list[CheckResult]:
     gap count over the grid; the first two also take _SAMPLE_COUNT seeded
     large cases each."""
     pairs = _grid_pairs(g)
-    gauss, half, _ = _samples(g)
+    samples = _samples(g)
+    gauss, half = next(samples), next(samples)
     return [
         gauss_reciprocity_sum(chain(((a, b) for a, b in pairs if a % 2 and b % 2 and a != b), gauss)),
         half_index_reciprocity(chain(pairs, half)),
@@ -487,25 +480,22 @@ def check_lemma_chain(g: GridSpec) -> list[CheckResult]:
     plus _SAMPLE_COUNT seeded large triples, and the lattice and threshold
     counts built on it."""
     pairs = _grid_pairs(g)
+    _, _, swaps = _samples(g)
     return [
         lattice_halfline_count(pairs),
-        *lattice_threshold_checks(((a, b) for a, b in pairs if b < a), _samples(g)[2]),
+        *lattice_threshold_checks(((a, b) for a, b in pairs if b < a), swaps),
     ]
 
 
 def check_jacobi_suite(g: GridSpec) -> list[CheckResult]:
     """Symbol engine versus its oracles over the odd coprime grid; the first
     two share the grid's pairs plus _SAMPLE_COUNT seeded large pairs."""
-    rng = random.Random(g.seed)
-    odd_a = range(1, g.a_max + 1, 2)
-    odd_b = range(1, g.b_max + 1, 2)
-    pairs = _grid_pairs(g, step=2)
-    pairs += [_sample_coprime(rng, odd=True) for _ in range(_SAMPLE_COUNT)]
+    pairs = _grid_pairs(g, step=2) + next(_samples(g))
     primes = _odd_primes(max(g.a_max, g.b_max))
     return [
         eisenstein_vs_definition(pairs),
         jacobi_reciprocity(pairs),
-        *split_parity_checks(_split_triples(odd_a, odd_b)),
+        *split_parity_checks(_split_triples(range(1, g.a_max + 1, 2), range(1, g.b_max + 1, 2))),
         gauss_lemma_sign((a, p) for p in primes for a in range(1, p)),
     ]
 

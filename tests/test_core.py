@@ -60,6 +60,21 @@ def test_is_prime_sweep_and_hard_cases():
     assert not is_prime((2**31 - 1) * (2**19 - 1))
 
 
+# The least strong pseudoprime to the witnesses 2..37, where is_prime
+# stops: below it the test is exact.
+PSI12 = 318665857834031151167461
+
+
+def test_is_prime_refuses_n_from_the_least_strong_pseudoprime_to_its_witnesses():
+    assert PSI12 == 399165290221 * 798330580441
+    # psi_12, and psi_13, the least strong pseudoprime to the witnesses 2..41
+    for n in (PSI12, 3317044064679887385961981):
+        with pytest.raises(ValueError, match=str(PSI12)):
+            is_prime(n)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+    assert is_prime(2**61 - 1)
+
+
 def test_factorize_examples():
     assert factorize(1) == []
     assert factorize(667) == [(23, 1), (29, 1)]

@@ -28,6 +28,9 @@ def test_legendre_euler_examples():
     for bad_p in (2, 9, 15, 1, 0):
         with pytest.raises(ValueError):
             legendre_euler(3, bad_p)
+    # composite, and a strong pseudoprime to every witness is_prime uses
+    with pytest.raises(ValueError, match="318665857834031151167461"):
+        legendre_euler(2, 318665857834031151167461)
 
 
 def test_legendre_layered_oracles_agree():

@@ -340,6 +340,19 @@ def test_recorder_failure_reporting():
     assert row["failures"][0]["inputs"] == {"a": 1, "b": 3}
 
 
+def test_check_records_all_its_cases_in_one_batch(monkeypatch):
+    # mismatches at both ends and on either side of 4096, once a batch size
+    calls = []
+    cases = _Recorder.cases
+    monkeypatch.setattr(_Recorder, "cases", lambda self, *args: calls.append(1) or cases(self, *args))
+    bad = (0, 4095, 4096, 9999)
+    result = verify._check("probe", ("i", "j"), ((i, 2 * i) for i in range(10_000)),
+                           lambda i, j: j + (i in bad), lambda i, j: 2 * i)
+    assert len(calls) == 1
+    assert result.cases_run == 10_000
+    assert result.failures == [Failure((("i", i), ("j", 2 * i)), 2 * i, 2 * i + 1) for i in bad]
+
+
 def test_failure_inputs_name_each_value(monkeypatch):
     # a one-loop check, a check on a shared clock, and section 5, whose
     # last two cases rename their single value
@@ -455,7 +468,8 @@ def test_lemma_loop_reducer_calls(monkeypatch):
 
 # The seeded large cases of GridSpec(5, 5, seed=3) at 4 samples, as the
 # suite drew them when all three checks ran in the equivalence chain; each
-# chain draws them from one RNG in this order, whichever chain runs.
+# chain draws them from one RNG in this order, whichever chain runs, and the
+# Jacobi suite's first two checks take the first list.
 SAMPLES_5_5_SEED3 = {
     "gauss_reciprocity_sum": [
         (255512577, 636343333), (584361683, 140040411), (397236331, 983488255), (671862059, 623685185),
@@ -481,10 +495,12 @@ def test_seeded_samples_are_the_same_cases_in_either_chain(monkeypatch):
     monkeypatch.setattr(_Recorder, "cases", record)
     monkeypatch.setattr(verify, "_SAMPLE_COUNT", 4)
     grid = GridSpec(5, 5, seed=3)
-    for chain in (check_lemma_chain, check_equivalence_chain):
+    odd = SAMPLES_5_5_SEED3["gauss_reciprocity_sum"]
+    samples = dict(SAMPLES_5_5_SEED3, eisenstein_vs_definition=odd, jacobi_reciprocity=odd)
+    for chain in (check_lemma_chain, check_equivalence_chain, check_jacobi_suite):
         seen.clear()
         assert all(r.passed for r in chain(grid))
         # the samples follow the grid's cases in each check
-        got = {check_id: values[-4:] for check_id, values in seen.items() if check_id in SAMPLES_5_5_SEED3}
-        want = {check_id: SAMPLES_5_5_SEED3[check_id] for check_id in got}
+        got = {check_id: values[-4:] for check_id, values in seen.items() if check_id in samples}
+        want = {check_id: samples[check_id] for check_id in got}
         assert got == want and got
