@@ -8,7 +8,7 @@ double-loop searches.  Nothing imports from the package under test.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import numpy as np
 
@@ -34,6 +34,27 @@ def floor_sum_iterative(n: int, m: int, a: int, b: int) -> int:
         if y_max < m:
             return ans
         n, b, m, a = y_max // m, y_max % m, a, m
+
+
+def euclid_rounds(a: int, b: int, d: int) -> int:
+    """Rounds a reciprocity reducer on S(a, b, d) takes with the ordinary
+    remainder: each round swaps (a, b, d) to (b, a mod b, K) with
+    K = b*d // a, and the count stops where K is 0.  No sums, and no
+    reflection onto the least absolute remainder; this is the count the
+    package's reducer must never exceed."""
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    d %= a
+    if d == 0:
+        return 0
+    b %= a
+    rounds = 1
+    K = b * d // a
+    while K:
+        a, b, d = b, a % b, K
+        K = b * d // a
+        rounds += 1
+    return rounds
 
 
 def floor_sum_terms(a: int, b: int, d: int) -> int:

@@ -152,7 +152,7 @@ def test_criterion_6_fast_vs_naive_floor_sums(capsys):
     for a in range(1, 301):
         for b in range(0, 301):
             prefix = naive_prefix(a, b, 300)
-            bound = 3 * max(a, b).bit_length()
+            bound = max(a, b).bit_length() + 1
             for d in range(0, 301):
                 value, steps = fast_floor_sum_steps(a, b, d)
                 assert value == prefix[d], (a, b, d)
@@ -168,7 +168,7 @@ def test_criterion_6_fast_vs_naive_floor_sums(capsys):
         d = rng.randrange(0, 10**9 + 1)
         value, steps = fast_floor_sum_steps(a, b, d)
         assert value == floor_sum_iterative(d + 1, a, b, 0), (a, b, d)
-        assert steps <= 3 * max(a, b).bit_length(), (a, b, d, steps)
+        assert steps <= max(a, b).bit_length() + 1, (a, b, d, steps)
 
     # seeded slice where literal summation is affordable
     for _ in range(200):

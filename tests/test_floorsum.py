@@ -15,12 +15,13 @@ from coinfloor.floorsum import (
     reciprocity_residual,
     strong_residual,
 )
-from oracle import floor_sum_iterative, floor_sum_terms, naive_prefix
+from oracle import euclid_rounds, floor_sum_iterative, floor_sum_terms, naive_prefix
 
 
 def _steps_bound(a, b):
-    # 3 * (floor(log2(max(a, b))) + 1); bit_length is floor(log2) + 1
-    return 3 * max(a, b, 1).bit_length()
+    # after the first round each multiplier is at most half its modulus, so
+    # the modulus halves every round: at most bit_length + 1 rounds
+    return max(a, b, 1).bit_length() + 1
 
 
 def test_query_validation():
@@ -186,9 +187,21 @@ def _fibonacci_pair_below(limit):
 _FIB_M, _FIB_A = _fibonacci_pair_below(10**300)
 
 
+def _pell_pair_below(bits):
+    # consecutive Pell numbers: every quotient is 2 and no round reflects
+    f, g = 1, 2
+    while (2 * g + f).bit_length() <= bits:
+        f, g = g, 2 * g + f
+    return g, f
+
+
+_PELL_M, _PELL_A = _pell_pair_below(1000)
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=_MOD, b=_BIG, d=_BIG)
-@example(a=_FIB_M, b=_FIB_A, d=_FIB_M - 1)  # longest Euclid chain
+@example(a=_FIB_M, b=_FIB_A, d=_FIB_M - 1)  # longest Euclid chain; every round reflects
+@example(a=_PELL_M, b=_PELL_A, d=_PELL_M - 1)  # quotients all 2; no round reflects
 @example(a=_CHAIN_MIN + 7, b=_CHAIN_MIN - 5, d=_CHAIN_MIN - 1)  # a above the cut-over, b below
 @example(a=_CHAIN_MIN + 3, b=_CHAIN_MIN + 1, d=_CHAIN_MIN)  # leaves the chain after one round
 @example(a=10**150 + 1, b=10**299 + 7, d=10**300)  # b >= a and d >= a
@@ -227,18 +240,34 @@ def _seeded_triples(seed, hi, n=6):
 
 
 def test_round_counts_frozen_goldens():
-    # Round counts taken from the reducer that computed every K as
-    # floor(b*d/a); the remainder chain and the fused accumulation must
-    # leave them, and so the traced rounds per call, where they were.
-    assert fast_floor_sum_steps(29, 23, 8) == (24, 3)
-    assert [fast_floor_sum_steps(_FIB_M, _FIB_A, d)[1] for d in (_FIB_M - 1, 10**300)] == [1435, 1429]
-    assert fast_floor_sum_steps(_FIB_A, _FIB_M, _FIB_M - 1)[1] == 1433
-    for seed, hi, rounds in ((9, 10**9, [20, 17, 14, 15, 14, 18]),
-                             (300, 10**300, [581, 592, 584, 530, 569, 567])):
-        triples = _seeded_triples(seed, hi)
+    # Each case: triples, the least-remainder reducer's round counts, and
+    # the counts the ordinary-remainder reducer took (frozen from it, and
+    # recounted by the oracle), which bound the first from above.  The
+    # values stay pinned to the independent evaluator.
+    cases = (
+        ([(29, 23, 8)], [3], [3]),
+        ([(_FIB_M, _FIB_A, _FIB_M - 1), (_FIB_M, _FIB_A, 10**300), (_FIB_A, _FIB_M, _FIB_M - 1)],
+         [718, 716, 717], [1435, 1429, 1433]),
+        ([(_PELL_M, _PELL_A, _PELL_M - 1)], [786], [786]),
+        (_seeded_triples(9, 10**9), [13, 13, 11, 12, 12, 13], [20, 17, 14, 15, 14, 18]),
+        (_seeded_triples(300, 10**300), [403, 411, 401, 380, 391, 390], [581, 592, 584, 530, 569, 567]),
+    )
+    for triples, rounds, ordinary in cases:
         got = [fast_floor_sum_steps(*t) for t in triples]
         assert [r for _, r in got] == rounds
+        assert all(r <= o for r, o in zip(rounds, ordinary))
+        assert [euclid_rounds(*t) for t in triples] == ordinary
         assert [v for v, _ in got] == [floor_sum_iterative(d + 1, a, b, 0) for a, b, d in triples]
+
+
+def test_never_more_rounds_than_the_ordinary_remainder():
+    for a in range(1, 64):
+        for b in range(64):
+            for d in range(64):
+                assert fast_floor_sum_steps(a, b, d)[1] <= euclid_rounds(a, b, d), (a, b, d)
+    for seed in (300, 301, 302):
+        for t in _seeded_triples(seed, 10**300, n=50):
+            assert fast_floor_sum_steps(*t)[1] <= euclid_rounds(*t), t
 
 
 @settings(max_examples=200, deadline=None)
