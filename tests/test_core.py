@@ -7,7 +7,13 @@ from math import gcd
 import pytest
 
 from coinfloor import core
-from coinfloor.coinproblem import best2_count, best_family_point, frobenius_number, is_representable
+from coinfloor.coinproblem import (
+    best2_count,
+    best_family_point,
+    count_representable_upto,
+    frobenius_number,
+    is_representable,
+)
 from coinfloor.core import CoprimePair, factorize, is_prime
 from coinfloor.jacobi import jacobi_by_definition, jacobi_eisenstein
 from oracle import factorize_by_trial_division
@@ -223,3 +229,20 @@ def test_coprime_pair_computes_its_inverse_on_first_read():
     assert pair == CoprimePair(a, b) and hash(pair) == hash(CoprimePair(a, b))
     with pytest.raises(AttributeError):
         pair.inv_a_mod_b = 1
+
+
+def test_coprime_pair_refuses_the_inverse_past_its_budget():
+    # pow(1, -1, b) is one step, so the limit itself is cheap to read
+    limit = core._INVERSE_MAX_BITS
+    assert CoprimePair(1, (1 << limit) - 1).inv_a_mod_b == 1
+    b = (1 << limit) + 1
+    pair = CoprimePair(b + 2, b)
+    with pytest.raises(ValueError, match=f"limit of {limit} bits"):
+        is_representable(pair, 1)
+    assert "inv_a_mod_b" not in vars(pair)
+    # the routes that never read the inverse still answer at this size
+    a = b + 2
+    assert frobenius_number(pair) == a * b - a - b
+    assert count_representable_upto(pair, a * b) == a * b + 1 - (a - 1) * (b - 1) // 2
+    assert best_family_point(pair, 1).n0 == (b * (1 + a) // (2 * a)) * 2 - b + 1
+    assert "inv_a_mod_b" not in vars(pair)

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coinfloor.floorsum import (
+    _CHAIN_MAX_BITS,
     _CHAIN_MIN,
     fast_floor_sum,
     fast_floor_sum_steps,
@@ -243,13 +244,16 @@ def test_round_counts_frozen_goldens():
     # Each case: triples, the least-remainder reducer's round counts, and
     # the counts the ordinary-remainder reducer took (frozen from it, and
     # recounted by the oracle), which bound the first from above.  The
-    # values stay pinned to the independent evaluator.
+    # values stay pinned to the independent evaluator.  At 25 and 70 digits
+    # the remainder chain hands over to the plain loop after a few rounds.
     cases = (
         ([(29, 23, 8)], [3], [3]),
         ([(_FIB_M, _FIB_A, _FIB_M - 1), (_FIB_M, _FIB_A, 10**300), (_FIB_A, _FIB_M, _FIB_M - 1)],
          [718, 716, 717], [1435, 1429, 1433]),
         ([(_PELL_M, _PELL_A, _PELL_M - 1)], [786], [786]),
         (_seeded_triples(9, 10**9), [13, 13, 11, 12, 12, 13], [20, 17, 14, 15, 14, 18]),
+        (_seeded_triples(25, 10**25), [33, 37, 34, 33, 33, 32], [50, 56, 47, 45, 47, 43]),
+        (_seeded_triples(70, 10**70), [88, 85, 83, 95, 90, 96], [124, 120, 121, 135, 125, 136]),
         (_seeded_triples(300, 10**300), [403, 411, 401, 380, 391, 390], [581, 592, 584, 530, 569, 567]),
     )
     for triples, rounds, ordinary in cases:
@@ -258,6 +262,22 @@ def test_round_counts_frozen_goldens():
         assert all(r <= o for r, o in zip(rounds, ordinary))
         assert [euclid_rounds(*t) for t in triples] == ordinary
         assert [v for v, _ in got] == [floor_sum_iterative(d + 1, a, b, 0) for a, b, d in triples]
+
+
+def test_reducer_refuses_a_multiplier_past_its_budget():
+    # the budget reads the multiplier after R1, which bounds every operand
+    # after the first round: at the limit the call answers (in two rounds
+    # here), one bit past it raises at once
+    a = 1 << _CHAIN_MAX_BITS
+    assert fast_floor_sum_steps(a, a - 1, a - 1) == ((a - 1) * (a - 2) // 2, 2)
+    b = a + 1
+    with pytest.raises(ValueError, match=f"limit of {_CHAIN_MAX_BITS} bits"):
+        fast_floor_sum(b + 2, b, b + 1)
+    # a huge modulus or a huge multiplier reduced mod a small modulus is
+    # cheap, and S(a, b, a - 1) = (a - 1)(b - 1)/2 for coprime a, b
+    big = 1 << (4 * _CHAIN_MAX_BITS)
+    assert fast_floor_sum(big + 1, 3, big) == big
+    assert fast_floor_sum(7, big + 1, 6) == 3 * big
 
 
 def test_never_more_rounds_than_the_ordinary_remainder():
