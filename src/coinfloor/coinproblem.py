@@ -209,7 +209,9 @@ def best2_count(p: CoprimePair, d: int) -> tuple[int, int]:
 # gap, a*b - a - b = 2G - 1, is below 2**21 for G <= _GAPS_MAX gaps, so
 # adding to every field of packed rows never carries into the next field.
 # Bands of fewer than _DOUBLED_ROWS rows are written a row at a time, longer
-# ones doubled into blocks of under _BLOCK_BITS bits.
+# ones doubled into blocks of under _BLOCK_BITS bits.  Doubling the short
+# bands too gives the same gaps but costs 1.07x per listing on pairs with
+# ab from 5*10**4 to 10**5 and 1.21x at (211, 331) (2-core VM, Python 3.11.7).
 _DOUBLED_ROWS = 8
 _BLOCK_BITS = 2**20
 # Most gaps nonrepresentable_set lists (its time and memory: see the README).

@@ -18,6 +18,8 @@ import math
 import sys
 from itertools import compress, count
 
+from .floorsum import _shown
+
 __all__ = [
     "is_prime",
     "factorize",
@@ -221,7 +223,7 @@ class CoprimePair(_Record):
 
     def __init__(self, a: int, b: int) -> None:
         if a < 1 or b < 1:
-            raise ValueError(f"pair members must be positive, got ({a}, {b})")
+            raise ValueError(f"pair members must be positive, got ({_shown(a)}, {_shown(b)})")
         if math.gcd(a, b) != 1:
-            raise ValueError(f"({a}, {b}) are not coprime")
+            raise ValueError(f"({_shown(a)}, {_shown(b)}) are not coprime")
         vars(self).update(a=a, b=b)

@@ -50,13 +50,17 @@ _CHAIN_MIN = 1 << 64
 _CHAIN_MAX_BITS = 1 << 17
 
 
-def _check_args(a: int, b: int, d: int) -> None:
-    if a < 1:
-        raise ValueError(f"modulus a must be >= 1, got {a}")
-    if b < 0:
-        raise ValueError(f"multiplier b must be >= 0, got {b}")
-    if d < 0:
-        raise ValueError(f"upper index d must be >= 0, got {d}")
+# An argument error writes an operand below this in digits (60 at most);
+# past it _shown names the operand by its bit length, so the message stays
+# short and skips str(), which is quadratic in the operand's size.
+_SHOWN_MAX = 10**60
+
+
+def _shown(n: int) -> str:
+    """n for an error message: its digits up to _SHOWN_MAX, past it its size."""
+    if -_SHOWN_MAX < n < _SHOWN_MAX:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
 def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
@@ -118,13 +122,8 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     the last P = d*K once where the chain stops, which is 0 when the chain
     stopped on K = 0.
 
-    Passes.  The chain runs one round per pass, then swaps the roles of a
-    and b, and of d and K, by two pairwise swaps.  That executes 5-13% more
-    bytecodes at 20-1000 digits than two role-swapped rounds per pass, in
-    the same time (0.99-1.01 per call, 2-core VM, Python 3.11.7): the
-    big-int work hides them.  The plain loop, whose rounds are a few
-    small-int operations, keeps two rounds per pass: one per pass executes
-    5% more bytecodes per verify call (142.8 against 135.9 at grid 60).
+    Passes.  Both loops run one round per pass, then swap the roles of a
+    and b, and of d and K, by two pairwise swaps.
 
     Budget.  The chain's rounds are O(n) each and O(n) in number, so a
     call is quadratic in the multiplier's size after R1, which bounds
@@ -143,8 +142,12 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     the loop then continues with K = b*d // a.  The operands only shrink,
     so a call crosses the cut-over at most once.
     """
-    if a < 1 or b < 0 or d < 0:  # _check_args names the first bad argument
-        _check_args(a, b, d)
+    if a < 1:
+        raise ValueError(f"modulus a must be >= 1, got {_shown(a)}")
+    if b < 0:
+        raise ValueError(f"multiplier b must be >= 0, got {_shown(b)}")
+    if d < 0:
+        raise ValueError(f"upper index d must be >= 0, got {_shown(d)}")
     g = gcd(a, b)
     if g > 1:
         a //= g
@@ -203,20 +206,8 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
         else:
             acc = K * (2 * d - q * (K + 1)) - acc
             plain += 1
-        # modulus b, multiplier a, index K, next index d
-        d = a * K // b
-        if not d:
-            break
-        q = b // a
-        b -= q * a
-        if b + b > a:
-            b = a - b
-            acc -= d * (2 * K + 1 - d - q * (d + 1))
-            rounds += 1
-        else:
-            acc = d * (2 * K - q * (d + 1)) - acc
-            plain += 1
-        K = b * d // a
+        a, b = b, a
+        d, K = K, b * K // a
     half = acc >> 1
     return (total + half if plain & 1 else total - half), rounds + plain
 

@@ -107,13 +107,10 @@ def gauss_lemma_count(a: int, p: int) -> int:
 
 
 def _check_odd_triple(a: int, b: int, c: int) -> None:
-    # one chain for the common case; gcd(a, b*c) == 1 iff both gcds are 1
-    if 0 < a and 0 < b and 0 < c and a % 2 == b % 2 == c % 2 == 1 and gcd(a, b * c) == 1:
-        return
     for name, v in (("a", a), ("b", b), ("c", c)):
         if v < 1 or v % 2 == 0:
             raise ValueError(f"{name} must be a positive odd integer, got {v}")
-    if gcd(a, b) != 1 or gcd(a, c) != 1:
+    if gcd(a, b * c) != 1:  # iff gcd(a, b) or gcd(a, c) is not 1
         raise ValueError(f"b = {b} and c = {c} must both be coprime to a = {a}")
 
 

@@ -396,3 +396,10 @@ def test_operands_past_the_reducer_and_inverse_budgets_are_refused_at_once():
         assert elapsed < 1.0
         assert proc.returncode == 1 and proc.stdout == ""
         assert "limit of 180000 bits" in proc.stderr and "Traceback" not in proc.stderr
+    # messages name such operands by their bit length: whole, these two
+    # wrote 240 028 and 120 040 bytes to stderr
+    for argv in (("count", a, a, "1"), ("floorsum", "1", "-" + a, "1")):
+        elapsed, proc = _timed_process(*argv)
+        assert elapsed < 1.0
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.encode()) < 1024 and "Traceback" not in proc.stderr

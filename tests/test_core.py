@@ -199,6 +199,18 @@ def test_coprime_pair_validation():
     for bad in ((0, 5), (5, 0), (-3, 2), (6, 9), (2, 2)):
         with pytest.raises(ValueError):
             CoprimePair(*bad)
+    # up to 60 digits an operand is written out, past that named by its size
+    cases = (
+        ((6, 9), "(6, 9) are not coprime"),
+        ((-3, 2), "pair members must be positive, got (-3, 2)"),
+        ((10**60 - 1, 3), f"({10**60 - 1}, 3) are not coprime"),
+        ((2 * 10**60, 2), "(<201-bit integer>, 2) are not coprime"),
+        ((-(10**60), 1), "pair members must be positive, got (-<200-bit integer>, 1)"),
+    )
+    for args, message in cases:
+        with pytest.raises(ValueError) as info:
+            CoprimePair(*args)
+        assert str(info.value) == message
 
 
 def test_coprime_pair_is_immutable():

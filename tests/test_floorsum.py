@@ -34,14 +34,17 @@ def test_query_validation():
 
 
 def test_fast_argument_messages():
-    # the reducer's one-comparison check falls back to _check_args, which
-    # names the first bad argument
+    # the reducer checks its arguments in order and names the first bad
+    # one; an operand of more than 60 digits is named by its bit length
     cases = (
         ((0, 3, 5), "modulus a must be >= 1, got 0"),
         ((-2, -1, -5), "modulus a must be >= 1, got -2"),
         ((3, -1, 5), "multiplier b must be >= 0, got -1"),
         ((3, -1, -5), "multiplier b must be >= 0, got -1"),
         ((3, 1, -5), "upper index d must be >= 0, got -5"),
+        ((1 - 10**60, 1, 1), "modulus a must be >= 1, got -9{60}"),
+        ((-10**60, 1, 1), "modulus a must be >= 1, got -<200-bit integer>"),
+        ((3, -(1 << 400), 5), "multiplier b must be >= 0, got -<401-bit integer>"),
     )
     for args, message in cases:
         with pytest.raises(ValueError, match=rf"^{message}$"):
@@ -222,7 +225,17 @@ def test_chain_at_every_cut_over_matches_naive(monkeypatch, chain_min):
     # add a nonzero boundary term, and 2**32 leaves it to the plain loop
     default = {(a, b, d): fast_floor_sum_steps(a, b, d)[1]
                for a in range(1, 40) for b in range(60) for d in range(60)}
+    # 10-40 digits: at the default cut-over a call with a multiplier past
+    # 2**64 runs the chain and then the plain loop
+    rng = random.Random(chain_min)
+    large = [tuple(rng.randrange(10 ** (k - 1), 10**k) for k in rng.choices(range(10, 41), k=3))
+             for _ in range(300)]
+    large_default = [fast_floor_sum_steps(*t) for t in large]
     monkeypatch.setattr("coinfloor.floorsum._CHAIN_MIN", chain_min)
+    for (a, b, d), expected in zip(large, large_default):
+        value, steps = fast_floor_sum_steps(a, b, d)
+        assert (value, steps) == expected, (a, b, d)
+        assert value == floor_sum_iterative(d + 1, a, b, 0), (a, b, d)
     for a in range(1, 40):
         for b in range(60):
             prefix = naive_prefix(a, b, 59)
