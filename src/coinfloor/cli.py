@@ -116,21 +116,21 @@ _BEST_ROWS_MAX = 10**5
 
 def _cmd_best(args: argparse.Namespace) -> int:
     from . import coinproblem
+    from .floorsum import _shown
 
     pair = _pair(args)
     columns = ["alpha", "beta", "k", "n0"]
     inputs = {"a": args.a, "b": args.b}
     if args.all:
-        # best_family_point's own check, made first: the alpha range below
-        # is empty when a <= 2, and a pair past the row limit would get the
-        # limit's message instead
+        # best_family_point's own check, made first: a <= 2 leaves no alpha
+        # to check, and a pair past the row limit would get that message
         if args.b >= args.a:
-            raise ValueError(f"need b < a, got ({args.a}, {args.b})")
-        alphas = range(2 - args.a % 2, args.a, 2)  # from the smallest alpha > 0 with a's parity
-        if len(alphas) > _BEST_ROWS_MAX:
-            raise ValueError(f"--all would print {len(alphas)} rows, over the limit of "
+            raise ValueError(f"need b < a, got ({_shown(args.a)}, {_shown(args.b)})")
+        count = (args.a - 1) // 2  # the alphas > 0 below a with a's parity
+        if count > _BEST_ROWS_MAX:
+            raise ValueError(f"--all would print {_shown(count)} rows, over the limit of "
                              f"{_BEST_ROWS_MAX}; --alpha gives one row")
-        rows = [vars(coinproblem.best_family_point(pair, alpha)) for alpha in alphas]
+        rows = [vars(coinproblem.best_family_point(pair, alpha)) for alpha in range(2 - args.a % 2, args.a, 2)]
         _emit(args, "best", dict(inputs, all=True), rows, columns)
     else:
         _emit(args, "best", dict(inputs, alpha=args.alpha),
@@ -155,16 +155,21 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
         try:
             lam = Fraction(lam_text)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"argument --weighted: invalid rational value: {lam_text!r}")
+            raise ValueError(f"argument --weighted: invalid rational value: {_echo(lam_text)}")
         try:
             m = int(m_text)
         except ValueError:
-            raise ValueError(f"argument --weighted: invalid int value: {m_text!r}")
+            raise ValueError(f"argument --weighted: invalid int value: {_echo(m_text)}")
         value = coinproblem.weighted_sylvester_sum(pair, lam, m)
         _emit(args, "gaps", dict(inputs, weighted=str(lam), power=m), str(value))
     else:
         _emit_gaps(args, inputs, coinproblem.nonrepresentable_set(pair).gaps)
     return 0
+
+
+def _echo(text: str) -> str:
+    """text quoted for a message, cut after 60 characters as floorsum._shown cuts numbers."""
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
 
 
 # Gaps per write of a streamed listing.

@@ -32,8 +32,8 @@ import struct
 from bisect import bisect_left
 from math import comb, factorial, lcm, log2
 
-from .core import CoprimePair, _Record
-from .floorsum import fast_floor_sum
+from .core import _INVERSE_MAX_BITS, CoprimePair, _Record
+from .floorsum import _CHAIN_MAX_BITS, _chain_refusal, _shown, fast_floor_sum
 
 __all__ = [
     "RepCount",
@@ -99,7 +99,7 @@ class NonRepSet(_Record):
 
 def _check_nat(n: int, name: str) -> None:
     if n < 0:
-        raise ValueError(f"{name} must be >= 0, got {n}")
+        raise ValueError(f"{name} must be >= 0, got {_shown(n)}")
 
 
 def frobenius_number(p: CoprimePair) -> int:
@@ -159,13 +159,22 @@ def count_lattice_3var(p: CoprimePair, target: int) -> int:
     floor((r*i + c)/b) = floor(r*(i + j0)/b) - t, and over i < n
 
         count = n + q*n(n-1)/2 + S(b, r, X + j0) - S(b, r, j0 - 1) - n*t.
+
+    Past _CHAIN_MAX_BITS bits of r the reducer takes only whole periods
+    (j0 = 0 with b | X, or 1 with b | X + 1), so other counts with b within
+    the inverse's limit are refused before the inverse is paid for.
     """
     _check_nat(target, "target")
     a, b = p.a, p.b
     x_top, c = divmod(target, a)
     n = x_top + 1
     q, r = divmod(a, b)
-    j0 = c * p.inv_a_mod_b % b
+    if r.bit_length() <= _CHAIN_MAX_BITS or b.bit_length() > _INVERSE_MAX_BITS:
+        j0 = c * p.inv_a_mod_b % b
+    else:  # the reducer's whole periods: c = 0 or r mod b, so j0 = 0 or 1, and b | X + j0
+        j0 = int(c % b != 0)
+        if (c - j0 * r) % b or (x_top + j0) % b:
+            raise _chain_refusal(r)
     t = (r * j0 - c) // b
     low = fast_floor_sum(b, r, j0 - 1) if j0 else 0
     return n + q * (n * x_top // 2) + fast_floor_sum(b, r, x_top + j0) - low - n * t
@@ -176,11 +185,11 @@ def best_family_point(p: CoprimePair, alpha: int) -> BestFamilyPoint:
     and alpha of the same parity as a.  All divisions are exact."""
     a, b = p.a, p.b
     if b >= a:
-        raise ValueError(f"need b < a, got ({a}, {b})")
+        raise ValueError(f"need b < a, got ({_shown(a)}, {_shown(b)})")
     if not 0 < alpha < a:
-        raise ValueError(f"need 0 < alpha < a = {a}, got {alpha}")
+        raise ValueError(f"need 0 < alpha < a = {_shown(a)}, got {_shown(alpha)}")
     if alpha % 2 != a % 2:
-        raise ValueError(f"alpha must have the parity of a = {a}, got {alpha}")
+        raise ValueError(f"alpha must have the parity of a = {_shown(a)}, got {_shown(alpha)}")
     beta = 2 * (b * (alpha + a) // (2 * a)) - b
     k = (b * alpha + a * beta) // 2
     n0 = (alpha + 1) * (beta + 1) // 2
@@ -196,9 +205,9 @@ def best2_count(p: CoprimePair, d: int) -> tuple[int, int]:
     """
     a, b = p.a, p.b
     if b >= a:
-        raise ValueError(f"need b < a, got ({a}, {b})")
+        raise ValueError(f"need b < a, got ({_shown(a)}, {_shown(b)})")
     if not (2 * d > a and d < a):
-        raise ValueError(f"need a/2 < d < a = {a}, got d={d}")
+        raise ValueError(f"need a/2 < d < a = {_shown(a)}, got d={_shown(d)}")
     K = b * d // a
     k = b * d + a * K - a * b
     n0 = (2 * d - a + 1) * (2 * K - b + 1) // 2
@@ -237,7 +246,7 @@ def nonrepresentable_set(p: CoprimePair) -> NonRepSet:
     a, b = p.a, p.b
     count = (a - 1) * (b - 1) // 2
     if count > _GAPS_MAX:
-        raise ValueError(f"({a}, {b}) has {count} gaps, over the listing limit of "
+        raise ValueError(f"({_shown(a)}, {_shown(b)}) has {_shown(count)} gaps, over the listing limit of "
                          f"{_GAPS_MAX}; sylvester_sum_power gives their count and power sums")
     big, small = max(a, b), min(a, b)
     live = list(range(1, small))  # the residues with a gap in the current row, ascending
@@ -389,11 +398,12 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
     lam = 1 reduces to sylvester_sum_power.  lam must be nonzero; since 0
     is always representable, no gap raises lam to a negative power.  The
     series takes O(m^2) products and the listing O(ab) terms; the listing
-    runs only when the (a-1)(b-1)/2 gaps are no more than m^2 and the
-    listing limit.  For lam = p/q != +-1 the result itself has about
-    (ab - a - b) * max(bits(p), bits(q)) bits; past _WEIGHTED_BITS_BUDGET
-    (2**18) the call raises ValueError before any work, and so it does
-    past _GAP_SUM_WORK_BUDGET (10**11) units of _gap_sum_work, about 2 s.
+    runs only when the (a-1)(b-1)/2 gaps are no more than m^2 (past 10**6
+    gaps both routes are over the work budget).  For lam = p/q != +-1 the
+    result itself has about (ab - a - b) * max(bits(p), bits(q)) bits;
+    past _WEIGHTED_BITS_BUDGET (2**18) the call raises ValueError before
+    any work, and so it does past _GAP_SUM_WORK_BUDGET (10**11) units of
+    _gap_sum_work, about 2 s.
     """
     import fractions  # here, not at module level: it loads decimal
 
@@ -401,7 +411,7 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
     if lam == 0:
         raise ValueError("weight base must be nonzero")
     if m < 0:
-        raise ValueError(f"power must be >= 0, got {m}")
+        raise ValueError(f"power must be >= 0, got {_shown(m)}")
     a, b = p.a, p.b
     if a == 1 or b == 1:
         return fractions.Fraction(0)
@@ -409,12 +419,12 @@ def weighted_sylvester_sum(p: CoprimePair, lam: Fraction | int, m: int) -> Fract
     top = a * b - a - b
     lam_bits = 0 if abs(num) == den else max(abs(num).bit_length(), den.bit_length())
     if top * lam_bits > _WEIGHTED_BITS_BUDGET:
-        raise ValueError(f"weighted gap sum would have about {top * lam_bits} bits, "
+        raise ValueError(f"weighted gap sum would have about {_shown(top * lam_bits)} bits, "
                          f"over the budget of {_WEIGHTED_BITS_BUDGET} bits")
-    listing = (a - 1) * (b - 1) // 2 <= min(m * m, _GAPS_MAX)
+    listing = (a - 1) * (b - 1) // 2 <= m * m
     work = _gap_sum_work(a, b, lam_bits, m, listing)
     if work > log2(_GAP_SUM_WORK_BUDGET):
-        raise ValueError(f"gap sum at power {m} would take about 2**{work:.0f} units of work, "
+        raise ValueError(f"gap sum at power {_shown(m)} would take about 2**{work:.0f} units of work, "
                          f"over the work budget of {_GAP_SUM_WORK_BUDGET}")
     if not listing:
         return fractions.Fraction(*_series_moment(a, b, num, den, m))

@@ -1,9 +1,9 @@
 """Exact integer primitives shared by the rest of the package.
 
-Deterministic primality, trial-division factorization, and the validated
-coprime-pair value object used as a parameter everywhere.  gcd, modular
-inverses and modular powers come from the stdlib (math.gcd and pow).
-All functions are pure; all values are immutable after construction.
+Deterministic primality, factorization by one trial-division loop, and
+the validated coprime-pair value object used as a parameter everywhere.
+gcd, modular inverses and modular powers come from the stdlib (math.gcd and
+pow).  All functions are pure; all values are immutable after construction.
 
 The package's records derive from _Record here, the one immutable
 base: plain classes whose __init__ fills __dict__ in field order, with a
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import compress, count
+from itertools import chain, compress, count
 
 from .floorsum import _shown
 
@@ -69,10 +69,6 @@ def is_prime(n: int) -> bool:
 # factorize divides by the primes below this first, then by odd numbers.
 _PRIME_TABLE_END = 1 << 15
 
-# factorize tries the table's primes this many at a time, skipping a block
-# whose product is coprime to what is left.
-_BLOCK = 32
-
 # Largest n factorize takes: trial division up to sqrt(n) = 10**7 stays
 # under a second.
 _FACTOR_MAX_N = 10**14
@@ -80,11 +76,10 @@ _FACTOR_MAX_N = 10**14
 _prime_table = None
 
 
-def _small_primes() -> tuple[memoryview, list[tuple[int, int]]]:
+def _small_primes() -> memoryview:
     """The primes below _PRIME_TABLE_END as unsigned shorts (3512 of them,
-    7 KB), and (first index, product) of each block of _BLOCK of them,
-    sieved on the first call.  A memoryview over packed bytes, not an
-    array: importing array adds about 70 KB to the process's RSS."""
+    7 KB), sieved on the first call.  A memoryview over packed bytes, not
+    an array: importing array adds about 70 KB to the process's RSS."""
     global _prime_table
     if _prime_table is None:
         n = _PRIME_TABLE_END
@@ -94,20 +89,18 @@ def _small_primes() -> tuple[memoryview, list[tuple[int, int]]]:
             if flags[p]:
                 flags[p * p::p] = bytes(len(range(p * p, n, p)))
         packed = b"".join(p.to_bytes(2, sys.byteorder) for p in compress(range(n), flags))
-        primes = memoryview(packed).cast("H")
-        blocks = [(i, math.prod(primes[i:i + _BLOCK])) for i in range(0, len(primes), _BLOCK)]
-        _prime_table = primes, blocks
+        _prime_table = memoryview(packed).cast("H")
     return _prime_table
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, multiplicity) pairs, primes ascending.
 
-    factorize(1) = [].  Trial division: by the primes below 2**15, then by
-    the odd numbers past them, up to the square root of what is left.  The
-    table's primes are tried a block at a time: one gcd with the block's
-    product skips a block that divides nothing.  It is O(sqrt(n)), so n
-    over _FACTOR_MAX_N (10**14) raises ValueError before any work.
+    factorize(1) = [].  Trial division in one loop: by the primes below
+    2**15, then by the odd numbers past them, up to the square root of
+    what is left, which is taken again after each prime that divides.
+    It is O(sqrt(n)), so n over _FACTOR_MAX_N (10**14) raises ValueError
+    before any work.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -115,36 +108,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
         raise ValueError(f"n = {n} is over the budget of {_FACTOR_MAX_N} "
                          "for factorizing by trial division")
     out: list[tuple[int, int]] = []
-    m = n
-    primes, blocks = _small_primes()
-    for i, product in blocks:
-        if primes[i] ** 2 > m:
-            break
-        if math.gcd(m, product) > 1:
-            m = _divide_out(m, primes[i:i + _BLOCK], out)
-    else:
-        m = _divide_out(m, count(_PRIME_TABLE_END + 1, 2), out)
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
-def _divide_out(m: int, candidates: memoryview | count, out: list[tuple[int, int]]) -> int:
-    """Divide m by each candidate in turn, while it is at most the square
-    root of what is left, appending (p, multiplicity) to out for each p
-    that divides; return what is left."""
-    limit = math.isqrt(m)
-    for p in candidates:
+    limit = math.isqrt(n)
+    for p in chain(_small_primes(), count(_PRIME_TABLE_END + 1, 2)):
         if p > limit:
             break
-        if m % p == 0:
+        if n % p == 0:
             r = 0
-            while m % p == 0:
-                m //= p
+            while n % p == 0:
+                n //= p
                 r += 1
             out.append((p, r))
-            limit = math.isqrt(m)
-    return m
+            limit = math.isqrt(n)
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 class _Record:

@@ -63,6 +63,11 @@ def _shown(n: int) -> str:
     return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
+def _chain_refusal(b: int) -> ValueError:
+    """The reducer's refusal of a multiplier of over _CHAIN_MAX_BITS bits."""
+    return ValueError(f"b mod a has {b.bit_length()} bits, over the reducer's limit of {_CHAIN_MAX_BITS} bits")
+
+
 def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     """(S(a, b, d), rounds used), in at most max(a, b).bit_length() + 1 rounds.
 
@@ -168,7 +173,7 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     acc = 0
     if b > _CHAIN_MIN:
         if b.bit_length() > _CHAIN_MAX_BITS:
-            raise ValueError(f"b mod a has {b.bit_length()} bits, over the reducer's limit of {_CHAIN_MAX_BITS} bits")
+            raise _chain_refusal(b)
         K, e = divmod(b * d, a)
         acc = -d * K  # the first P
         while K:
@@ -225,11 +230,11 @@ def reciprocity_residual(a: int, b: int, d: int) -> int:
     all 0 as b*d < a.
     """
     if not 1 <= b < a:
-        raise ValueError(f"need 1 <= b < a, got a={a}, b={b}")
+        raise ValueError(f"need 1 <= b < a, got a={_shown(a)}, b={_shown(b)}")
     if not 1 <= d < a:
-        raise ValueError(f"need 1 <= d < a, got a={a}, d={d}")
+        raise ValueError(f"need 1 <= d < a, got a={_shown(a)}, d={_shown(d)}")
     if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
+        raise ValueError(f"({_shown(a)}, {_shown(b)}) are not coprime")
     K = b * d // a
     return fast_floor_sum(a, b, d) + fast_floor_sum(b, a, K) - d * K
 
@@ -237,9 +242,9 @@ def reciprocity_residual(a: int, b: int, d: int) -> int:
 def strong_residual(a: int, b: int) -> int:
     """S(a, b, floor(a/2)) + S(b, a, floor(b/2)) - floor(a/2)*floor(b/2); zero for coprime a, b >= 1."""
     if a < 1 or b < 1:
-        raise ValueError(f"need positive integers, got ({a}, {b})")
+        raise ValueError(f"need positive integers, got ({_shown(a)}, {_shown(b)})")
     if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
+        raise ValueError(f"({_shown(a)}, {_shown(b)}) are not coprime")
     return fast_floor_sum(a, b, a // 2) + fast_floor_sum(b, a, b // 2) - (a // 2) * (b // 2)
 
 
@@ -253,7 +258,7 @@ def gauss_residual(p: int, q: int) -> int:
     coprime.
     """
     if p < 1 or q < 1 or p % 2 == 0 or q % 2 == 0:
-        raise ValueError(f"need positive odd integers, got ({p}, {q})")
+        raise ValueError(f"need positive odd integers, got ({_shown(p)}, {_shown(q)})")
     if p == q:
         raise ValueError("p and q must be distinct")
     return strong_residual(p, q)

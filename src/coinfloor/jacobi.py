@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import gcd
 
 from .core import _FACTOR_MAX_N, factorize, is_prime
-from .floorsum import fast_floor_sum
+from .floorsum import _shown, fast_floor_sum
 
 __all__ = [
     "legendre_euler",
@@ -38,7 +38,7 @@ _GAUSS_MAX_P = 10**7
 
 def _check_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"modulus must be an odd prime, got {p}")
+        raise ValueError(f"modulus must be an odd prime, got {_shown(p)}")
 
 
 def legendre_euler(a: int, p: int) -> int:
@@ -54,24 +54,25 @@ def legendre_euler(a: int, p: int) -> int:
 
 
 def jacobi_by_definition(a: int, b: int) -> int:
-    """Jacobi symbol (a/b) as the product of Legendre symbols over the
-    prime factorization of the odd denominator b; (a/1) = +1.
+    """Jacobi symbol (a/b) as the product of Legendre symbols, each by
+    Euler's criterion, over the prime factorization of the odd denominator
+    b; (a/1) = +1.  The primes factorize returns are not tested again.
 
     Factorizing is trial division, O(sqrt(b)), so b over factorize's
     budget _FACTOR_MAX_N (10**14, under a second) raises ValueError
     before any work.
     """
     if b < 1 or b % 2 == 0:
-        raise ValueError(f"denominator must be a positive odd integer, got {b}")
+        raise ValueError(f"denominator must be a positive odd integer, got {_shown(b)}")
     if b > _FACTOR_MAX_N:
-        raise ValueError(f"denominator b = {b} is over the budget of {_FACTOR_MAX_N} "
+        raise ValueError(f"denominator b = {_shown(b)} is over the budget of {_FACTOR_MAX_N} "
                          "for factorizing by trial division")
     result = 1
-    for prime, mult in factorize(b):
-        s = legendre_euler(a, prime)
+    for p, mult in factorize(b):
+        s = pow(a, p // 2, p)  # 1, p - 1 or 0
         if s == 0:
             return 0
-        if s == -1 and mult % 2 == 1:
+        if s != 1 and mult % 2 == 1:
             result = -result
     return result
 
@@ -83,9 +84,9 @@ def jacobi_eisenstein(a: int, b: int) -> int:
     numerators must go through jacobi_by_definition instead.
     """
     if a < 1 or b < 1 or a % 2 == 0 or b % 2 == 0:
-        raise ValueError(f"need odd positive integers, got ({a}, {b})")
+        raise ValueError(f"need odd positive integers, got ({_shown(a)}, {_shown(b)})")
     if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
+        raise ValueError(f"({_shown(a)}, {_shown(b)}) are not coprime")
     return -1 if fast_floor_sum(b, a, (b - 1) // 2) % 2 else 1
 
 
@@ -97,11 +98,11 @@ def gauss_lemma_count(a: int, p: int) -> int:
     before any work.
     """
     if p > _GAUSS_MAX_P:
-        raise ValueError(f"modulus p = {p} is over the budget of {_GAUSS_MAX_P} "
+        raise ValueError(f"modulus p = {_shown(p)} is over the budget of {_GAUSS_MAX_P} "
                          "for counting residues one by one")
     _check_odd_prime(p)
     if gcd(a, p) != 1:
-        raise ValueError(f"({a}, {p}) are not coprime")
+        raise ValueError(f"({_shown(a)}, {p}) are not coprime")
     half = (p - 1) // 2
     return sum(1 for i in range(1, half + 1) if i * a % p > half)
 
@@ -109,9 +110,9 @@ def gauss_lemma_count(a: int, p: int) -> int:
 def _check_odd_triple(a: int, b: int, c: int) -> None:
     for name, v in (("a", a), ("b", b), ("c", c)):
         if v < 1 or v % 2 == 0:
-            raise ValueError(f"{name} must be a positive odd integer, got {v}")
+            raise ValueError(f"{name} must be a positive odd integer, got {_shown(v)}")
     if gcd(a, b * c) != 1:  # iff gcd(a, b) or gcd(a, c) is not 1
-        raise ValueError(f"b = {b} and c = {c} must both be coprime to a = {a}")
+        raise ValueError(f"b = {_shown(b)} and c = {_shown(c)} must both be coprime to a = {_shown(a)}")
 
 
 def ge1_residual(a: int, b: int, c: int) -> int:

@@ -131,12 +131,13 @@ class GridSpec(_Record):
 
     def __init__(self, a_max: int = 60, b_max: int = 60, seed: int = 0) -> None:
         if a_max < 2 or b_max < 2:
-            raise ValueError(f"a_max and b_max must be >= 2, got ({a_max}, {b_max})")
+            raise ValueError(f"a_max and b_max must be >= 2, got ({floorsum._shown(a_max)}, {floorsum._shown(b_max)})")
         # the first term alone refuses a large grid before any prime is sought
         if max(a_max, b_max) ** 2 * min(a_max, b_max) > _GRID_COST_MAX or (
                 _grid_cost(a_max, b_max) > _GRID_COST_MAX):
-            raise ValueError(f"grid ({a_max}, {b_max}): max(A, B)**2 * min(A, B) + sum(p**2 for odd primes "
-                             f"p <= max(A, B)) // {_GAUSS_LEMMA_DIV} is over the limit of {_GRID_COST_MAX}, grid 150's")
+            raise ValueError(f"grid ({floorsum._shown(a_max)}, {floorsum._shown(b_max)}): max(A, B)**2 * min(A, B) "
+                             f"+ sum(p**2 for odd primes p <= max(A, B)) // {_GAUSS_LEMMA_DIV} is over the limit of "
+                             f"{_GRID_COST_MAX}, grid 150's")
         vars(self).update(a_max=a_max, b_max=b_max, seed=seed)
 
 

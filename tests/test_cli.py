@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from coinfloor import cli, verify
@@ -396,10 +397,34 @@ def test_operands_past_the_reducer_and_inverse_budgets_are_refused_at_once():
         assert elapsed < 1.0
         assert proc.returncode == 1 and proc.stdout == ""
         assert "limit of 180000 bits" in proc.stderr and "Traceback" not in proc.stderr
-    # messages name such operands by their bit length: whole, these two
-    # wrote 240 028 and 120 040 bytes to stderr
-    for argv in (("count", a, a, "1"), ("floorsum", "1", "-" + a, "1")):
+    # messages name such operands by their bit length, and cut echoed text:
+    # whole, these wrote 120 029 to 240 112 bytes to stderr, and best --all
+    # raised OverflowError on the length of its alpha range
+    for argv in (("count", a, a, "1"), ("floorsum", "1", "-" + a, "1"),
+                 ("jacobi", a + "0", "3"), ("jacobi", "3", a, "--method", "definition"),
+                 ("best", "3", a, "--alpha", "1"), ("best", a, "3", "--alpha", "0"), ("best", a, "3", "--all"),
+                 ("count", "3", "5", "-" + a), ("verify", "--grid", "2", a), ("gaps", a, "3"),
+                 ("gaps", "3", "5", "--power", "-" + a), ("gaps", "3", "5", "--power", a),
+                 ("gaps", a, "3", "--weighted", "2", "0"), ("gaps", "3", "5", "--weighted", "x" + a, "0"),
+                 ("gaps", "3", "5", "--weighted", "2", "x" + a)):
         elapsed, proc = _timed_process(*argv)
         assert elapsed < 1.0
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(proc.stderr.encode()) < 1024 and "Traceback" not in proc.stderr
+
+
+def test_lattice_counts_past_the_reducer_limit_are_refused_before_the_inverse():
+    # a random coprime pair of 170 000 bits, under the inverse's limit:
+    # with r = a mod b = a past the reducer's, upto paid 1.8 s for
+    # pow(a, -1, b) and was then refused; k = 0 is one whole period
+    rng = random.Random(170_000)
+    a = b = 2
+    while gcd(a, b) != 1:
+        a, b = sorted(rng.getrandbits(170_000) | 1 << 169_999 for _ in range(2))
+    with _no_int_str_limit():
+        a, b = str(a), str(b)
+    elapsed, proc = _timed_process("upto", a, b, "1")
+    assert elapsed < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "reducer's limit of 131072 bits" in proc.stderr and "Traceback" not in proc.stderr
+    assert _cli_process("upto", a, b, "0")[1] == "1"

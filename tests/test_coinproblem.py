@@ -6,7 +6,7 @@ import subprocess
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, log2
 from pathlib import Path
 
 import pytest
@@ -239,6 +239,35 @@ def test_count_lattice_3var_vs_brute_force():
                 assert count_lattice_3var(p, target) == brute_lattice3(a, b, target)
 
 
+def test_count_lattice_3var_past_the_reducer_limit_answers_whole_periods_only(monkeypatch):
+    # With the chain on every operand and its limit at 4 bits, the reducer
+    # refuses S(b, r, d) for r = a mod b >= 16 unless b | d.  The count's
+    # sums are S(b, r, X + j0) and S(b, r, j0 - 1), so it answers exactly
+    # where j0 is 0 or 1 and b | X + j0, and it refuses the other counts
+    # before it reads the pair's inverse.
+    monkeypatch.setattr(floorsum, "_CHAIN_MIN", 0)
+    monkeypatch.setattr(floorsum, "_CHAIN_MAX_BITS", 4)
+    monkeypatch.setattr(coinproblem, "_CHAIN_MAX_BITS", 4)
+    answered = {0: 0, 1: 0}
+    for a in range(17, 40):
+        for b in range(17, 40):
+            if gcd(a, b) != 1 or a % b < 16:
+                continue
+            p, inv = CoprimePair(a, b), pow(a, -1, b)
+            for target in range(2 * a * b):
+                x_top, c = divmod(target, a)
+                j0 = c * inv % b
+                if j0 <= 1 and (x_top + j0) % b == 0:
+                    assert count_lattice_3var(p, target) == sum(
+                        (target - a * x) // b + 1 for x in range(x_top + 1)), (a, b, target)
+                    answered[j0] += 1
+                elif target % 7 == 0:
+                    with pytest.raises(ValueError, match="reducer's limit of 4 bits"):
+                        count_lattice_3var(p, target)
+            assert "inv_a_mod_b" not in vars(p)
+    assert min(answered.values()) > 20
+
+
 def test_uniqueness_bridge_below_ab():
     # below a*b: the 3-variable count equals both the prefix sum of the
     # solution counts and the membership count
@@ -351,13 +380,34 @@ def test_gap_listing_limit(monkeypatch):
     for pair in ((2, 2 * 10**6 + 3), (1415, 1417), (30011, 30013), (10**100 + 1, 10**100 + 2)):
         with pytest.raises(ValueError, match="over the listing limit of 1000000"):
             nonrepresentable_set(CoprimePair(*pair))
-    # past the limit the gap sums take the series, even where m**2 would list
     monkeypatch.setattr(coinproblem, "_GAPS_MAX", 3)
     pair = CoprimePair(3, 5)  # gaps 1, 2, 4, 7
     with pytest.raises(ValueError, match="over the listing limit of 3"):
         nonrepresentable_set(pair)
-    assert weighted_sylvester_sum(pair, Fraction(1, 2), 5) == sum(
-        Fraction(1, 2) ** (n - 1) * n**5 for n in (1, 2, 4, 7))
+
+
+def test_gap_sums_list_exactly_when_the_gaps_are_at_most_m_squared(monkeypatch):
+    listed = []
+    monkeypatch.setattr(coinproblem, "nonrepresentable_set",
+                        lambda p: listed.append(p) or nonrepresentable_set(p))
+    pair = CoprimePair(3, 5)  # gaps 1, 2, 4, 7
+    for m in (1, 2):
+        assert weighted_sylvester_sum(pair, Fraction(1, 2), m) == sum(
+            Fraction(1, 2) ** (n - 1) * n**m for n in (1, 2, 4, 7))
+    assert listed == [pair]  # at m = 2 only: 4 gaps <= 2**2
+    # past the listing limit of 10**6 gaps both routes are over the work
+    # budget wherever the listing would be chosen, so no sum reaches it
+    budget = log2(coinproblem._GAP_SUM_WORK_BUDGET)
+    for a, b in ((2, 2 * 10**6 + 3), (1415, 1417), (1001, 2003), (10**6 + 1, 10**6 + 3)):
+        gaps = (a - 1) * (b - 1) // 2
+        for m in (isqrt(gaps - 1) + 1, 3 * isqrt(gaps), 10 * isqrt(gaps)):
+            assert gaps <= m * m
+            for lam, lam_bits in ((1, 0), (-1, 0), (Fraction(1, 2), 2)):
+                assert coinproblem._gap_sum_work(a, b, lam_bits, m, True) > budget
+                assert coinproblem._gap_sum_work(a, b, lam_bits, m, False) > budget
+            with pytest.raises(ValueError, match="over the work budget"):
+                weighted_sylvester_sum(CoprimePair(a, b), 1, m)
+    assert listed == [pair]
 
 
 def test_nonrepresentable_set_vs_brute_force():

@@ -162,14 +162,16 @@ def test_factorize_past_the_prime_table():
 
 
 def test_factorize_matches_the_trial_division_oracle():
-    # the table is tried in blocks of primes; cover both sides of its end
-    # (32749 is its last prime, 32771 the first prime past it), products and
-    # squares of table primes, and random n up to 1e12
-    primes, blocks = core._small_primes()
-    assert len(primes) == 3512 and primes[-1] == 32749 and len(blocks) == -(-3512 // core._BLOCK)
+    # the table's primes are tried first, then the odd numbers; cover every
+    # n up to 1e5, both sides of the table's end (32749 is its last prime,
+    # 32771 the first prime past it), products and squares of table
+    # primes, and random n up to 1e12
+    primes = core._small_primes()
+    assert len(primes) == 3512 and primes[-1] == 32749
     rng = random.Random(191)
     table = [rng.choice(primes) for _ in range(40)]
     cases = [
+        *range(1, 10**5 + 1),
         *range(2**15 - 40, 2**15 + 41),
         *(p * p for p in table[:10]),
         *(p * q for p, q in zip(table[10:20], table[20:30])),

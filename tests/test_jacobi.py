@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coinfloor import jacobi
 from coinfloor.core import is_prime
 from coinfloor.jacobi import (
     gauss_lemma_count,
@@ -57,9 +58,22 @@ def test_jacobi_by_definition_refuses_past_its_budget():
     # trial division to sqrt(b): 10**14 takes under a second, 80 digits would not finish
     b = 10**14 - 1  # the largest odd denominator within the budget
     assert jacobi_by_definition(5, b) == jacobi_eisenstein(5, b)
-    for b in (10**14 + 1, 10**79 + 1):
-        with pytest.raises(ValueError, match=rf"b = {b} is over the budget of 100000000000000"):
+    # past 60 digits the message names b by its size
+    for b, shown in ((10**14 + 1, "100000000000001"), (10**79 + 1, "<263-bit integer>")):
+        with pytest.raises(ValueError, match=rf"b = {shown} is over the budget of 100000000000000"):
             jacobi_by_definition(3, b)
+
+
+def test_jacobi_by_definition_tests_no_prime_again(monkeypatch):
+    # Euler's criterion goes straight to the primes factorize returns;
+    # numerators of either sign and parity, 0 mod b included
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(jacobi, "is_prime", refuse)
+    for b in range(1, 302, 2):
+        for a in range(-3 * b, 3 * b + 1):
+            assert jacobi_by_definition(a, b) == jacobi_binary(a, b), (a, b)
 
 
 def test_jacobi_numerator_multiplicativity():
