@@ -180,6 +180,12 @@ def count_lattice_3var(p: CoprimePair, target: int) -> int:
     return n + q * (n * x_top // 2) + fast_floor_sum(b, r, x_top + j0) - low - n * t
 
 
+def _family_point(a: int, b: int, alpha: int) -> tuple[int, int, int]:
+    """(beta, k, n0) of the family at alpha, as BestFamilyPoint states them."""
+    beta = 2 * (b * (alpha + a) // (2 * a)) - b
+    return beta, (b * alpha + a * beta) // 2, (alpha + 1) * (beta + 1) // 2
+
+
 def best_family_point(p: CoprimePair, alpha: int) -> BestFamilyPoint:
     """Closed-form threshold count for one alpha; requires b < a, 0 < alpha < a,
     and alpha of the same parity as a.  All divisions are exact."""
@@ -190,28 +196,20 @@ def best_family_point(p: CoprimePair, alpha: int) -> BestFamilyPoint:
         raise ValueError(f"need 0 < alpha < a = {_shown(a)}, got {_shown(alpha)}")
     if alpha % 2 != a % 2:
         raise ValueError(f"alpha must have the parity of a = {_shown(a)}, got {_shown(alpha)}")
-    beta = 2 * (b * (alpha + a) // (2 * a)) - b
-    k = (b * alpha + a * beta) // 2
-    n0 = (alpha + 1) * (beta + 1) // 2
-    return BestFamilyPoint(alpha=alpha, beta=beta, k=k, n0=n0)
+    return BestFamilyPoint(alpha, *_family_point(a, b, alpha))
 
 
 def best2_count(p: CoprimePair, d: int) -> tuple[int, int]:
-    """(k, n0) with k = b*d + a*K - a*b, K = floor(b*d/a), and
-    n0 = (2d - a + 1)(2K - b + 1)/2 representable integers in [0, k].
-
-    Requires b < a and a/2 < d < a.  Equivalent to best_family_point at
-    alpha = 2d - a, beta = 2K - b.
+    """(k, n0) of best_family_point at alpha = 2d - a, where beta = 2K - b
+    with K = floor(b*d/a): k = b*d + a*K - a*b, and n0 representable
+    integers in [0, k].  Requires b < a and a/2 < d < a.
     """
     a, b = p.a, p.b
     if b >= a:
         raise ValueError(f"need b < a, got ({_shown(a)}, {_shown(b)})")
     if not (2 * d > a and d < a):
         raise ValueError(f"need a/2 < d < a = {_shown(a)}, got d={_shown(d)}")
-    K = b * d // a
-    k = b * d + a * K - a * b
-    n0 = (2 * d - a + 1) * (2 * K - b + 1) // 2
-    return k, n0
+    return _family_point(a, b, 2 * d - a)[1:]
 
 
 # The listing packs each gap into a 32-bit little-endian field.  The largest

@@ -77,6 +77,11 @@ def jacobi_by_definition(a: int, b: int) -> int:
     return result
 
 
+def _eisenstein_parity(m: int, x: int) -> int:
+    """S(m, x, (m-1)/2) mod 2, the exponent of (-1) in the symbol (x/m)."""
+    return fast_floor_sum(m, x, (m - 1) // 2) & 1
+
+
 def jacobi_eisenstein(a: int, b: int) -> int:
     """Jacobi symbol (a/b) from the parity of the floor sum S(b, a, (b-1)/2).
 
@@ -87,7 +92,7 @@ def jacobi_eisenstein(a: int, b: int) -> int:
         raise ValueError(f"need odd positive integers, got ({_shown(a)}, {_shown(b)})")
     if gcd(a, b) != 1:
         raise ValueError(f"({_shown(a)}, {_shown(b)}) are not coprime")
-    return -1 if fast_floor_sum(b, a, (b - 1) // 2) % 2 else 1
+    return -1 if _eisenstein_parity(b, a) else 1
 
 
 def gauss_lemma_count(a: int, p: int) -> int:
@@ -123,12 +128,7 @@ def ge1_residual(a: int, b: int, c: int) -> int:
     Zero for odd positive a, b, c with b and c coprime to a.
     """
     _check_odd_triple(a, b, c)
-    bc = b * c
-    return (
-        fast_floor_sum(bc, a, (bc - 1) // 2)
-        - fast_floor_sum(b, a, (b - 1) // 2)
-        - fast_floor_sum(c, a, (c - 1) // 2)
-    ) % 2
+    return _eisenstein_parity(b * c, a) ^ _eisenstein_parity(b, a) ^ _eisenstein_parity(c, a)
 
 
 def ge2_residual(a: int, b: int, c: int) -> int:
@@ -139,10 +139,7 @@ def ge2_residual(a: int, b: int, c: int) -> int:
     Zero for odd positive a, b, c with b and c coprime to a.
     """
     _check_odd_triple(a, b, c)
-    h = (a - 1) // 2
-    return (
-        fast_floor_sum(a, b * c, h) - fast_floor_sum(a, b, h) - fast_floor_sum(a, c, h)
-    ) % 2
+    return _eisenstein_parity(a, b * c) ^ _eisenstein_parity(a, b) ^ _eisenstein_parity(a, c)
 
 
 def jacobi_reciprocity_check(a: int, b: int) -> bool:

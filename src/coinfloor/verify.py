@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, groupby
+from itertools import chain, groupby, takewhile
 from math import gcd
 from operator import itemgetter
 from time import perf_counter
@@ -38,8 +38,9 @@ from .coinproblem import (
     best_family_point,
     count_lattice_3var,
     count_representable_upto,
+    is_representable,
 )
-from .core import CoprimePair, _Record, is_prime
+from .core import CoprimePair, _Record, _small_primes
 from . import floorsum
 from .floorsum import (
     fast_floor_sum,
@@ -49,6 +50,7 @@ from .floorsum import (
 )
 from .jacobi import (
     _check_odd_triple,
+    _eisenstein_parity,
     gauss_lemma_count,
     jacobi_by_definition,
     jacobi_eisenstein,
@@ -85,7 +87,9 @@ _GRID_COST_MAX = 3384831
 
 
 def _odd_primes(n: int) -> list[int]:
-    return [p for p in range(3, n + 1, 2) if is_prime(p)]
+    """The odd primes up to n, from core's table: those below 2**15 only,
+    more than any grid under _GRID_COST_MAX reaches."""
+    return list(takewhile(n.__ge__, _small_primes()[1:]))
 
 
 def _grid_cost(a_max: int, b_max: int) -> int:
@@ -132,9 +136,7 @@ class GridSpec(_Record):
     def __init__(self, a_max: int = 60, b_max: int = 60, seed: int = 0) -> None:
         if a_max < 2 or b_max < 2:
             raise ValueError(f"a_max and b_max must be >= 2, got ({floorsum._shown(a_max)}, {floorsum._shown(b_max)})")
-        # the first term alone refuses a large grid before any prime is sought
-        if max(a_max, b_max) ** 2 * min(a_max, b_max) > _GRID_COST_MAX or (
-                _grid_cost(a_max, b_max) > _GRID_COST_MAX):
+        if _grid_cost(a_max, b_max) > _GRID_COST_MAX:
             raise ValueError(f"grid ({floorsum._shown(a_max)}, {floorsum._shown(b_max)}): max(A, B)**2 * min(A, B) "
                              f"+ sum(p**2 for odd primes p <= max(A, B)) // {_GAUSS_LEMMA_DIV} is over the limit of "
                              f"{_GRID_COST_MAX}, grid 150's")
@@ -242,10 +244,9 @@ def _naive_floor_sum(a: int, b: int, d: int) -> int:
 
 
 def _count_by_membership(pair: CoprimePair, k: int) -> int:
-    """N0(a, b; k) by the literal O(k) membership loop, independent of the
-    floor-sum route of count_representable_upto."""
-    a, b, inv = pair.a, pair.b, pair.inv_a_mod_b
-    return sum(1 for n in range(k + 1) if a * (n % b * inv % b) <= n)
+    """N0(a, b; k) by the literal O(k) loop over is_representable,
+    independent of the floor-sum route of count_representable_upto."""
+    return sum(is_representable(pair, n) for n in range(k + 1))
 
 
 def _gap_bits(a: int, b: int) -> int:
@@ -343,7 +344,8 @@ def lattice_threshold_checks(pairs: Iterable[tuple[int, int]],
     coprime b < a and each 1 <= d < a: reciprocity_residual(a, b, d) == 0;
     then, where K = floor(b*d/a) >= 1, the lattice count at b*d + a*K in
     reciprocity form and, when 2d > a, through the gap deficit; N0 in swap
-    form; and the closed-form family point against both threshold routes.
+    form, twice the residual plus best2_count's n0; and best2_count's
+    (k, n0), one call per d for both, against both threshold routes.
 
     A pair is validated once, as reciprocity_residual would; S(a, b, d) is
     taken once per d and S(b, a, K) once per distinct K >= 1, and the
@@ -384,10 +386,10 @@ def lattice_threshold_checks(pairs: Iterable[tuple[int, int]],
         n0 = [k + 1 - (gap_bits & ((1 << (k + 1)) - 1)).bit_count() if k >= 0 else 0 for k in ks]
         gaps = (a - 1) * (b - 1) // 2
         rec_deficit.cases([t + 1 - gaps + n for t, n in zip(targets, n0)], lattice, lambda i: (a, b, hi + i))
-        rec_swapform.cases(n0, [2 * r + (2 * d - a + 1) * (2 * K - b + 1) // 2 for d, K, r in zip(ds, Ks, residuals)],
-                           lambda i: (a, b, hi + i))
+        family = [best2_count(pair, d) for d in ds]
+        rec_swapform.cases(n0, [2 * r + n for r, (_, n) in zip(residuals, family)], lambda i: (a, b, hi + i))
         rec_family.cases([(k, n, n) for k, n in zip(ks, n0)],
-                         [(*best2_count(pair, d), count_representable_upto(pair, k)) for d, k in zip(ds, ks)],
+                         [(*point, count_representable_upto(pair, k)) for point, k in zip(family, ks)],
                          lambda i: (a, b, hi + i))
     samples = list(samples)
     rec_swap.cases([0] * len(samples), [reciprocity_residual(*t) for t in samples], samples.__getitem__)
@@ -409,11 +411,12 @@ def split_parity_checks(triples: Iterable[tuple[int, int, int]]) -> list[CheckRe
     a, b, c with b and c coprime to a: the parity defects that let the
     symbol's denominator and numerator split.
 
-    Both defects read T(n) = (S(n, a, (n-1)/2), S(a, n, (a-1)/2)) at
-    n = b, c and bc, as T(bc) - T(b) - T(c) mod 2.  T depends on a and n
-    only, so while a stays the same each T(n) is evaluated once, and it
-    serves every triple whose b, c or product is n: triples grouped by a
-    cost O(#distinct b + #distinct bc) reducer calls per a.  The table
+    Both defects read T(n) = (S(n, a, (n-1)/2), S(a, n, (a-1)/2)) mod 2,
+    two values of jacobi's _eisenstein_parity, at n = b, c and bc, as
+    T(bc) - T(b) - T(c) mod 2.  T depends on a and n only, so while a
+    stays the same each T(n) is evaluated once, and it serves every
+    triple whose b, c or product is n: triples grouped by a cost
+    O(#distinct b + #distinct bc) reducer calls per a.  The table
     keeps T(n)'s two parities as one small int, so a triple's defects are
     the two bits of par[bc] ^ par[b] ^ par[c].  It starts over whenever a
     changes, so any order gives the same results, and each run of equal a
@@ -426,7 +429,7 @@ def split_parity_checks(triples: Iterable[tuple[int, int, int]]) -> list[CheckRe
     rec_num = _Recorder("numerator_split_parity", names, clock)
     for a, run in groupby(triples, itemgetter(0)):
         run = list(run)
-        h, par = (a - 1) // 2, {}  # n -> the parities of T(n), the denominator's in bit 0
+        par = {}  # n -> the parities of T(n), the denominator's in bit 0
         defects = []
         for _, b, c in run:
             bc = b * c
@@ -435,7 +438,7 @@ def split_parity_checks(triples: Iterable[tuple[int, int, int]]) -> list[CheckRe
                 _check_odd_triple(a, b, c)
                 for n in (b, c, bc):
                     if n not in par:
-                        par[n] = fast_floor_sum(n, a, (n - 1) // 2) & 1 | (fast_floor_sum(a, n, h) & 1) << 1
+                        par[n] = _eisenstein_parity(n, a) | _eisenstein_parity(a, n) << 1
             defects.append(par[bc] ^ par[b] ^ par[c])
         zeros = [0] * len(run)
         rec_den.cases(zeros, [x & 1 for x in defects], run.__getitem__)

@@ -352,6 +352,40 @@ def test_best2_count_matches_counting_to_40():
                 assert n0 == count_representable_upto(p, k)
 
 
+def _best2_by_family_point(p, d):
+    point = best_family_point(p, 2 * d - p.a)
+    return point.k, point.n0
+
+
+def _best2_in_d_k_form(p, d):
+    # the (d, K) statement of the same point: beta = 2K - b
+    a, b = p.a, p.b
+    K = b * d // a
+    return b * d + a * K - a * b, (2 * d - a + 1) * (2 * K - b + 1) // 2
+
+
+def test_best2_count_is_best_family_point_at_alpha_2d_minus_a():
+    # every valid d of every coprime b < a <= 60
+    for a in range(3, 61):
+        for b in range(1, a):
+            if gcd(a, b) == 1:
+                p = CoprimePair(a, b)
+                for d in range(a // 2 + 1, a):
+                    assert best2_count(p, d) == _best2_by_family_point(p, d) == _best2_in_d_k_form(p, d)
+    # 200 seeded pairs of 100 to 300 digits, at both ends of the d range and
+    # at a random d between them
+    rng = random.Random(2029)
+    for _ in range(200):
+        digits = rng.randrange(100, 301)
+        while True:
+            a, b = rng.randrange(10 ** (digits - 1), 10**digits), rng.randrange(1, 10**digits)
+            if b < a and gcd(a, b) == 1:
+                break
+        p = CoprimePair(a, b)
+        for d in (a // 2 + 1, rng.randrange(a // 2 + 1, a), a - 1):
+            assert best2_count(p, d) == _best2_by_family_point(p, d) == _best2_in_d_k_form(p, d)
+
+
 def test_nonrepresentable_set_examples():
     assert nonrepresentable_set(CoprimePair(2, 3)).gaps == (1,)
     assert nonrepresentable_set(CoprimePair(3, 5)).gaps == (1, 2, 4, 7)

@@ -1,6 +1,7 @@
 """Tests for the integer primitives."""
 
 import random
+import sys
 import time
 from math import gcd
 
@@ -15,7 +16,7 @@ from coinfloor.coinproblem import (
     is_representable,
 )
 from coinfloor.core import CoprimePair, factorize, is_prime
-from coinfloor.jacobi import jacobi_by_definition, jacobi_eisenstein
+from coinfloor.jacobi import jacobi_by_definition, jacobi_eisenstein, legendre_euler
 from oracle import factorize_by_trial_division
 
 
@@ -191,6 +192,35 @@ def test_factorize_refuses_past_its_budget():
         with pytest.raises(ValueError, match=rf"n = {n} is over the budget of 100000000000000"):
             factorize(n)
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_refusals_of_a_huge_n_are_short_under_the_default_int_str_limit():
+    # str() of a 120 001-digit n is over CPython's default limit of 4300
+    # digits, and quadratic past it: each refusal names n by its bit length
+    n = 10**120000
+    calls = [
+        (lambda: legendre_euler(2, n + 1), "not below 318665857834031151167461"),
+        (lambda: is_prime(n), "not below 318665857834031151167461"),
+        (lambda: factorize(n), "over the budget of 100000000000000"),
+        (lambda: factorize(-n), "requires n >= 1"),
+    ]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        for call, want in calls:
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match=want) as ref:
+                call()
+            assert time.perf_counter() - t0 < 0.1
+            assert len(str(ref.value)) < 200
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    # up to 60 digits the message still writes n out
+    with pytest.raises(ValueError) as ref:
+        factorize(10**60 - 1)
+    assert str(ref.value) == f"n = {10**60 - 1} is over the budget of 100000000000000 for factorizing by trial division"
 
 
 def test_coprime_pair_validation():

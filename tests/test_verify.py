@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coinfloor import floorsum, verify
+from coinfloor import floorsum, jacobi, verify
 from coinfloor.core import CoprimePair
 from coinfloor.floorsum import reciprocity_residual
 from coinfloor.jacobi import ge1_residual, ge2_residual
@@ -225,8 +225,8 @@ def test_split_parity_checks_agree_with_the_single_triple_definitions(monkeypatc
 def test_a_fault_in_a_shared_split_term_reaches_every_triple_that_reads_it(monkeypatch):
     # S(45, 7, 22) is T(bc) of the denominator for a = 7 and bc = 45; no b
     # of the grid is 45, so only the four triples with that product read it
-    fast_floor_sum = verify.fast_floor_sum
-    monkeypatch.setattr(verify, "fast_floor_sum",
+    fast_floor_sum = jacobi.fast_floor_sum
+    monkeypatch.setattr(jacobi, "fast_floor_sum",
                         lambda a, b, d: fast_floor_sum(a, b, d) + ((a, b, d) == (45, 7, 22)))
     monkeypatch.setattr(verify, "_SAMPLE_COUNT", 0)
     results = run_suites("all", GridSpec(8, 16))
@@ -442,6 +442,15 @@ def test_an_off_by_one_lattice_count_fails_exactly_the_cases_that_read_it(monkey
         "lattice_reciprocity_count": [Failure(inputs, want, want + 1)],
         "lattice_gap_deficit_count": [Failure(inputs, want, want + 1)],
     }
+
+
+def test_an_off_by_one_membership_fails_exactly_the_checks_that_count_by_it(monkeypatch):
+    # the literal threshold counts of the reference table and of the worked
+    # example go through is_representable; n = 100 is below both their k
+    member = verify.is_representable
+    monkeypatch.setattr(verify, "is_representable", lambda pair, n: member(pair, n) != (n == 100))
+    results = run_suites("all", GridSpec(20, 20))
+    assert {r.check_id for r in results if r.failures} == {"table1_reproduction", "worked_example_29_23"}
 
 
 def test_lemma_loop_elapsed_is_within_its_wall_time():
