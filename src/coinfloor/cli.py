@@ -46,30 +46,26 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict, result, columns:
     """Print a result in the selected format.
 
     ``result`` is a scalar (int or str) or a list of row dicts; ``columns``
-    fixes the column order for row output.
+    fixes the column order for row output.  JSON keeps a scalar as it is;
+    csv and plain print it as one row of the one column ``value``.
     """
     if args.format == "json":
         import json
 
         print(json.dumps({"command": command, "inputs": inputs, "result": result}))
         return
+    if not isinstance(result, list):
+        result, columns = [{"value": result}], ["value"]
     if args.format == "csv":
         import csv
 
         writer = csv.writer(sys.stdout)
-        if isinstance(result, list):
-            writer.writerow(columns)
-            for row in result:
-                writer.writerow([row[c] for c in columns])
-        else:
-            writer.writerow(["value"])
-            writer.writerow([result])
-        return
-    if isinstance(result, list):
+        writer.writerow(columns)
         for row in result:
-            print(" ".join(str(row[c]) for c in columns))
-    else:
-        print(result)
+            writer.writerow([row[c] for c in columns])
+        return
+    for row in result:
+        print(" ".join(str(row[c]) for c in columns))
 
 
 def _pair(args: argparse.Namespace):

@@ -32,8 +32,8 @@ import struct
 from bisect import bisect_left
 from math import comb, factorial, lcm, log2
 
-from .core import _INVERSE_MAX_BITS, CoprimePair, _Record
-from .floorsum import _CHAIN_MAX_BITS, _chain_refusal, _shown, fast_floor_sum
+from .core import CoprimePair, _Record
+from .floorsum import _chain_refusal, _shown, fast_floor_sum
 
 __all__ = [
     "RepCount",
@@ -160,21 +160,23 @@ def count_lattice_3var(p: CoprimePair, target: int) -> int:
 
         count = n + q*n(n-1)/2 + S(b, r, X + j0) - S(b, r, j0 - 1) - n*t.
 
-    Past _CHAIN_MAX_BITS bits of r the reducer takes only whole periods
-    (j0 = 0 with b | X, or 1 with b | X + 1), so other counts with b within
-    the inverse's limit are refused before the inverse is paid for.
+    When the reducer refuses r (floorsum._chain_refusal), it still sums
+    whole periods: such a count answers exactly when j0 is 0 with b | X,
+    or 1 with b | X + 1, whatever the size of b, and any other is refused
+    with the reducer's message before the inverse is paid for.
     """
     _check_nat(target, "target")
     a, b = p.a, p.b
     x_top, c = divmod(target, a)
     n = x_top + 1
     q, r = divmod(a, b)
-    if r.bit_length() <= _CHAIN_MAX_BITS or b.bit_length() > _INVERSE_MAX_BITS:
+    refusal = _chain_refusal(r, "a mod b")
+    if refusal is None:
         j0 = c * p.inv_a_mod_b % b
     else:  # the reducer's whole periods: c = 0 or r mod b, so j0 = 0 or 1, and b | X + j0
         j0 = int(c % b != 0)
         if (c - j0 * r) % b or (x_top + j0) % b:
-            raise _chain_refusal(r)
+            raise refusal
     t = (r * j0 - c) // b
     low = fast_floor_sum(b, r, j0 - 1) if j0 else 0
     return n + q * (n * x_top // 2) + fast_floor_sum(b, r, x_top + j0) - low - n * t

@@ -63,9 +63,15 @@ def _shown(n: int) -> str:
     return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
-def _chain_refusal(b: int) -> ValueError:
-    """The reducer's refusal of a multiplier of over _CHAIN_MAX_BITS bits."""
-    return ValueError(f"b mod a has {b.bit_length()} bits, over the reducer's limit of {_CHAIN_MAX_BITS} bits")
+def _chain_refusal(r: int, name: str) -> ValueError | None:
+    """The reducer's refusal of a multiplier r (after R1) of over
+    _CHAIN_MAX_BITS bits, naming r as `name`, or None when the reducer
+    takes r.  The reducer raises what this returns; a caller that routes
+    by the limit asks here, so the limit has this one reader.
+    """
+    if r.bit_length() > _CHAIN_MAX_BITS:
+        return ValueError(f"{name} has {r.bit_length()} bits, over the reducer's limit of {_CHAIN_MAX_BITS} bits")
+    return None
 
 
 def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
@@ -172,8 +178,8 @@ def fast_floor_sum_steps(a: int, b: int, d: int) -> tuple[int, int]:
     rounds, plain = 1, 0
     acc = 0
     if b > _CHAIN_MIN:
-        if b.bit_length() > _CHAIN_MAX_BITS:
-            raise _chain_refusal(b)
+        if refusal := _chain_refusal(b, "b mod a"):
+            raise refusal
         K, e = divmod(b * d, a)
         acc = -d * K  # the first P
         while K:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .core import _FACTOR_MAX_N, factorize, is_prime
+from .core import factorize, is_prime
 from .floorsum import _shown, fast_floor_sum
 
 __all__ = [
@@ -58,15 +58,11 @@ def jacobi_by_definition(a: int, b: int) -> int:
     Euler's criterion, over the prime factorization of the odd denominator
     b; (a/1) = +1.  The primes factorize returns are not tested again.
 
-    Factorizing is trial division, O(sqrt(b)), so b over factorize's
-    budget _FACTOR_MAX_N (10**14, under a second) raises ValueError
-    before any work.
+    Factorizing is trial division, O(sqrt(b)), so a b over factorize's
+    budget raises factorize's ValueError before any work.
     """
     if b < 1 or b % 2 == 0:
         raise ValueError(f"denominator must be a positive odd integer, got {_shown(b)}")
-    if b > _FACTOR_MAX_N:
-        raise ValueError(f"denominator b = {_shown(b)} is over the budget of {_FACTOR_MAX_N} "
-                         "for factorizing by trial division")
     result = 1
     for p, mult in factorize(b):
         s = pow(a, p // 2, p)  # 1, p - 1 or 0

@@ -389,14 +389,20 @@ def test_operands_past_the_reducer_and_inverse_budgets_are_refused_at_once():
     elapsed, proc = _timed_process("floorsum", a, b, d)
     assert elapsed < 1.0
     assert proc.returncode == 1 and proc.stdout == ""
-    assert "reducer's limit of 131072 bits" in proc.stderr and "Traceback" not in proc.stderr
-    # b = a + 2 with a odd, so the pair is coprime and its gcd is cheap
+    assert "b mod a has " in proc.stderr and "reducer's limit of 131072 bits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # b = a + 2 with a odd, so the pair is coprime and its gcd is cheap;
+    # upto's lattice count takes S(b, a mod b, .), and a mod b = a is past
+    # the reducer's limit, while count reads the pair's inverse
     b = a[:-1] + "9"
-    for command in ("upto", "count"):
+    for command, message in (("upto", "a mod b has 398632 bits, over the reducer's limit of 131072 bits"),
+                             ("count", "limit of 180000 bits")):
         elapsed, proc = _timed_process(command, a, b, "1")
         assert elapsed < 1.0
         assert proc.returncode == 1 and proc.stdout == ""
-        assert "limit of 180000 bits" in proc.stderr and "Traceback" not in proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+    # k = 0 is one whole period, which needs neither the inverse nor the chain
+    assert _cli_process("upto", a, b, "0")[1] == "1"
     # messages name such operands by their bit length, and cut echoed text:
     # whole, these wrote 120 029 to 240 112 bytes to stderr, and best --all
     # raised OverflowError on the length of its alpha range

@@ -247,7 +247,6 @@ def test_count_lattice_3var_past_the_reducer_limit_answers_whole_periods_only(mo
     # before it reads the pair's inverse.
     monkeypatch.setattr(floorsum, "_CHAIN_MIN", 0)
     monkeypatch.setattr(floorsum, "_CHAIN_MAX_BITS", 4)
-    monkeypatch.setattr(coinproblem, "_CHAIN_MAX_BITS", 4)
     answered = {0: 0, 1: 0}
     for a in range(17, 40):
         for b in range(17, 40):
@@ -266,6 +265,21 @@ def test_count_lattice_3var_past_the_reducer_limit_answers_whole_periods_only(mo
                         count_lattice_3var(p, target)
             assert "inv_a_mod_b" not in vars(p)
     assert min(answered.values()) > 20
+
+
+def test_count_lattice_3var_past_both_limits_answers_whole_periods():
+    # a mod b = A is past the reducer's limit and b past the inverse's:
+    # k = 0 and t = A*B are whole periods and answer at this size, t = 1
+    # is not and is refused with the count's own name for the multiplier
+    rng = random.Random(190_000)
+    A = rng.getrandbits(190_000) | 1 << 189_999 | 1
+    B = A + 2
+    p = CoprimePair(A, B)
+    assert count_representable_upto(p, 0) == 1
+    assert count_lattice_3var(p, A * B) == A + B + 1 + (A - 1) * (B - 1) // 2
+    with pytest.raises(ValueError, match="a mod b has 190000 bits, over the reducer's limit of 131072 bits"):
+        count_lattice_3var(p, 1)
+    assert "inv_a_mod_b" not in vars(p)
 
 
 def test_uniqueness_bridge_below_ab():

@@ -1,6 +1,8 @@
 """Tests for the package's public names."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +42,14 @@ def test_removed_names_stay_removed():
     )
     for name in removed:
         assert not hasattr(coinfloor, name), name
+
+
+def test_each_limit_is_read_only_by_the_module_that_owns_it():
+    # a module that needs another's limit asks the owner (as the lattice
+    # count asks floorsum._chain_refusal), so changing a limit is one edit
+    for path in sorted(Path(coinfloor.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("coinfloor")):
+                for alias in node.names:
+                    name = alias.name
+                    assert "_MAX" not in name and not name.endswith("_BUDGET"), (path.name, node.module, name)

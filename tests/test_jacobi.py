@@ -60,7 +60,7 @@ def test_jacobi_by_definition_refuses_past_its_budget():
     assert jacobi_by_definition(5, b) == jacobi_eisenstein(5, b)
     # past 60 digits the message names b by its size
     for b, shown in ((10**14 + 1, "100000000000001"), (10**79 + 1, "<263-bit integer>")):
-        with pytest.raises(ValueError, match=rf"b = {shown} is over the budget of 100000000000000"):
+        with pytest.raises(ValueError, match=rf"n = {shown} is over the budget of 100000000000000"):
             jacobi_by_definition(3, b)
 
 
